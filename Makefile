@@ -6,8 +6,9 @@
 # rules (docs/staticcheck.md). `test` runs lint first so dead imports
 # fail fast. `bench`/`bench-quick` go through the scenario registry
 # (`repro bench`, docs/benchmarks.md); `ci` mirrors the GitHub Actions
-# workflow: lint -> staticcheck -> tier-1 tests -> quick bench smoke ->
-# regression guard against the committed baselines.
+# workflow: lint -> staticcheck -> tier-1 tests -> end-to-end benchmark
+# self-test -> HTTP smoke -> quick bench smoke -> regression guard
+# against the committed baselines.
 
 PYTHON ?= python
 BENCH_OUT ?= .
@@ -67,10 +68,12 @@ bench-baselines:
 	$(PYTHON) tools/benchguard.py --results /tmp/bench-full-baseline --tier full --update
 
 # A fresh directory per run: the guard must never be satisfied by a
-# stale BENCH_*.json from a previous invocation. The HTTP smoke boots
-# `repro serve` on an ephemeral port and drives it from a second
-# process (tools/http_smoke.py).
+# stale BENCH_*.json from a previous invocation. The e2ebench self-test
+# runs every end-to-end workload at a tiny size (e2ebench/). The HTTP
+# smoke boots `repro serve` on an ephemeral port and drives it from a
+# second process (tools/http_smoke.py).
 ci: staticcheck test check-docs
+	$(PYTHON) -m unittest discover -s e2ebench
 	$(PYTHON) tools/http_smoke.py
 	rm -rf bench-artifacts
 	$(PYTHON) -m repro bench --quick --output-dir bench-artifacts

@@ -10,10 +10,18 @@ The scenario also meters the SoA batch-assembly kernels
 assembly + interval loop over the same prepared SELJOIN plans:
 ``soa_assembly_retained`` carries a hard floor on the speedup and
 ``soa_assembly_bitwise`` hard-floors bit-identical outputs.
+
+``fitting_seconds`` times the cost-function fitter alone, without the
+service's fit-solution memo. ``fit_memo_hit_rate`` is that memo's hit
+rate on never-seen TPC-H queries served by one
+:class:`~repro.service.PredictionService` after a warm-up: a fidelity
+metric, exact for the seed, so the guard's tight band catches a memo
+key that silently stops hitting.
 """
 
 import struct
 
+import numpy as np
 import pytest
 
 from repro.benchreport import Metric, register
@@ -22,11 +30,13 @@ from repro.core.concurrency import ConcurrentPredictor
 from repro.costfuncs import CostFunctionFitter
 from repro.core.variance import assemble_distribution_parameters
 from repro.sampling import SelectivityEstimator
+from repro.service import PredictionService
 from repro.service.kernels import (
     assemble_batch,
     batch_intervals,
     build_batch_plan,
 )
+from repro.workloads.tpch_templates import TPCH_TEMPLATES
 
 ASSEMBLY_VARIANTS = tuple(Variant)
 ASSEMBLY_MPLS = (1, 2, 4)
@@ -97,8 +107,45 @@ def scenario(ctx):
             kind="ratio",
             floor=1.0,
         ),
+        Metric(
+            "fit_memo_hit_rate",
+            _fit_memo_hit_rate(
+                lab.databases["uniform-small"], units, ctx.seed,
+                warmup=ctx.pick(quick=100, full=300),
+                measured=ctx.pick(quick=100, full=200),
+            ),
+            kind="fidelity",
+        ),
     ]
     return metrics
+
+
+def _fit_memo_hit_rate(database, units, seed, *, warmup, measured):
+    """The fit-solution memo's hit rate over never-seen TPC-H queries.
+
+    One service prepares ``warmup`` distinct template instantiations,
+    then ``measured`` more; the rate counts the second stretch only.
+    Every lookup keys on exact problem bytes, so the rate is a pure
+    function of the seed.
+    """
+    service = PredictionService(database, units, sampling_ratio=0.05, seed=seed)
+    rng = np.random.default_rng(seed)
+    seen: set[str] = set()
+
+    def prepare_fresh(count):
+        while count:
+            template = TPCH_TEMPLATES[int(rng.integers(len(TPCH_TEMPLATES)))]
+            sql = template.instantiate(rng)
+            if sql not in seen:
+                seen.add(sql)
+                service.prepare(service.plan(sql))
+                count -= 1
+
+    prepare_fresh(warmup)
+    before = service.fit_memo.snapshot()[0]
+    prepare_fresh(measured)
+    after = service.fit_memo.snapshot()[0]
+    return (after.hits - before.hits) / (after.lookups - before.lookups)
 
 
 def _assemble_scalar(entries, concurrent):

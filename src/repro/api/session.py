@@ -19,8 +19,11 @@ engine, the session is the front door.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Iterable, Sequence
+
+from scipy.special import erfinv
 
 from ..calibration import Calibrator
 from ..calibration.calibrator import CalibratedUnits
@@ -217,6 +220,7 @@ class Session:
                 return
             self._closed = True
             self._service.prepared_cache.clear()
+            self._service.fit_memo.clear()
             engine = self._service.sampling_engine
             if engine is not None:
                 engine.clear()
@@ -402,20 +406,26 @@ class Session:
         # untouched — observe-free serving stays bitwise-identical to
         # the pre-feedback stack.
         correction = self._feedback.scales_for(tenant, confidences)
-        applied = False
+        levels = None
+        if correction is not None and any(
+            scale is not None for scale in correction[1]
+        ):
+            levels = nested_levels(confidences, correction[1])
         payloads = []
         for (variant, mpl), result in prediction.results.items():
             intervals = []
             for index, confidence in enumerate(confidences):
-                scale = None if correction is None else correction[1][index]
-                if scale is None:
+                if levels is None:
                     low, high = result.confidence_interval(confidence)
                 else:
-                    # Same clamping contract as confidence_interval():
-                    # predicted times are nonnegative.
-                    low = max(result.mean - scale * result.std, 0.0)
-                    high = max(result.mean + scale * result.std, 0.0)
-                    applied = True
+                    scale, static = levels[index]
+                    if static is not None:
+                        low, high = result.confidence_interval(static)
+                    else:
+                        # Same clamping contract as confidence_interval():
+                        # predicted times are nonnegative.
+                        low = max(result.mean - scale * result.std, 0.0)
+                        high = max(result.mean + scale * result.std, 0.0)
                 intervals.append(IntervalPayload(confidence, low, high))
             payloads.append(
                 ResultPayload(
@@ -428,11 +438,15 @@ class Session:
                 )
             )
         feedback = None
-        if applied:
+        if levels is not None and payloads:
+            # None marks a level served its static interval unchanged.
             feedback = FeedbackApplied(
                 tenant=tenant,
                 observations=correction[0],
-                scales=tuple(zip(confidences, correction[1])),
+                scales=tuple(
+                    (confidence, None if static is not None else scale)
+                    for confidence, (scale, static) in zip(confidences, levels)
+                ),
             )
         return PredictResponse(
             sql=sql,
@@ -440,3 +454,40 @@ class Session:
             prepare_was_cached=prediction.prepare_was_cached,
             feedback=feedback,
         )
+
+
+def static_scale(confidence: float) -> float:
+    """The static profile's scale: the normal quantile ``sqrt(2)·erfinv(c)``."""
+    return math.sqrt(2) * float(erfinv(confidence))
+
+
+def nested_levels(
+    confidences: Sequence[float], scales: Sequence[float | None]
+) -> list[tuple[float, float | None]]:
+    """The served ``(scale, static_confidence)`` of each requested level.
+
+    Walked in ascending confidence, each level is served the larger of
+    its own scale — the conformal ``scales[i]``, else
+    :func:`static_scale` — and the scale served to the level below, so
+    a wider confidence never gets a narrower interval. On a tie the
+    level below's recipe is reused, so equal scales give equal bits.
+    ``static_confidence`` is the confidence whose static interval
+    (``result.confidence_interval``) is served bit for bit, or None
+    when the interval is ``mean ± scale·std``. With a conformal window's
+    scales it is always the level's own confidence: a window that
+    certifies a confidence certifies every lower one, and its quantiles
+    rise with the confidence, so a static level never sits below a
+    conformal one it could lift.
+    """
+    levels: list = [None] * len(confidences)
+    below = None
+    for index in sorted(range(len(confidences)), key=confidences.__getitem__):
+        own = scales[index]
+        if own is None:
+            level = (static_scale(confidences[index]), confidences[index])
+        else:
+            level = (own, None)
+        if below is not None and not level[0] > below[0]:
+            level = below
+        levels[index] = below = level
+    return levels

@@ -505,10 +505,13 @@ class ResultPayload:
 class FeedbackApplied:
     """The v2 annotation on a response whose intervals were corrected.
 
-    ``scales`` pairs each requested confidence with the conformal scale
+    ``scales`` pairs each requested confidence with the scale
     (multiplier on the predicted std) that replaced the static normal
-    quantile — ``None`` entries mean that confidence fell back to the
-    static profile (window too small to certify it).
+    quantile: the level's own conformal scale, or the larger scale
+    served to a lower confidence, so the intervals nest. ``None``
+    entries mean that confidence was served its static interval
+    unchanged (the window cannot certify it, and its static quantile
+    is at least the scale served below it).
     """
 
     tenant: str

@@ -21,6 +21,7 @@ from enum import Enum
 
 import numpy as np
 
+from ..caching import ByteBudgetLRU
 from ..calibration.calibrator import CalibratedUnits
 from ..costfuncs.fitting import DEFAULT_GRID_W, CostFunctionFitter, OperatorCostFunctions
 from ..errors import PredictionError
@@ -183,6 +184,7 @@ class UncertaintyPredictor:
         use_gee: bool = False,
         method: str = "sampling",
         engine: SamplingEngine | None = None,
+        fit_memo: ByteBudgetLRU | None = None,
     ) -> PreparedPrediction:
         """Run selectivity estimation + fitting once; reusable across variants.
 
@@ -191,7 +193,9 @@ class UncertaintyPredictor:
         catalog-statistics alternative the paper lists as future work).
         An optional shared :class:`~repro.sampling.engine.SamplingEngine`
         memoizes sub-plan sampling work across calls; it only applies to
-        the "sampling" method.
+        the "sampling" method. An optional ``fit_memo`` memoizes exact
+        NNLS solutions of the fitting step across calls
+        (:class:`~repro.costfuncs.fitting.CostFunctionFitter`).
         """
         if method == "sampling":
             if sample_db is None:
@@ -205,7 +209,9 @@ class UncertaintyPredictor:
             estimate = HistogramSelectivityEstimator(planned).estimate()
         else:
             raise PredictionError(f"unknown estimation method: {method!r}")
-        fitted = CostFunctionFitter(planned, estimate, grid_w=self._grid_w).fit_all()
+        fitted = CostFunctionFitter(
+            planned, estimate, grid_w=self._grid_w, memo=fit_memo
+        ).fit_all()
         return PreparedPrediction(estimate=estimate, fitted=fitted)
 
     def predict_prepared(

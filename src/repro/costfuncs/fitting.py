@@ -1,8 +1,9 @@
 """Cost-function fitting (Section 4.2).
 
-For every (operator, cost unit) pair the fitter invokes the engine's
-cost model on a grid of candidate selectivities drawn from
-``[mu - 3 sigma, mu + 3 sigma]`` (clipped to [0, 1]) and solves the
+For every operator the fitter invokes the engine's cost model on a grid
+of candidate selectivities drawn from ``[mu - 3 sigma, mu + 3 sigma]``
+(clipped to [0, 1]) — once per grid point, reading all five cost units
+off that one call — and, per (operator, cost unit) pair, solves the
 nonnegative least-squares problem for the family's coefficients. The
 result is a polynomial in the plan's selectivity *variables* —
 identified by the op_id of the operator whose selectivity they are —
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..caching import ByteBudgetLRU
 from ..errors import FittingError
 from ..optimizer.cost_model import COST_UNIT_NAMES, CostModel
 from ..optimizer.optimizer import PlannedQuery
@@ -23,13 +25,36 @@ from ..sampling.estimator import SamplingEstimate
 from .families import CostFunctionFamily, family_for
 from .nnls import nnls
 
-__all__ = ["FittedCostFunction", "OperatorCostFunctions", "CostFunctionFitter"]
+__all__ = [
+    "FIT_MEMO_BYTES",
+    "FittedCostFunction",
+    "OperatorCostFunctions",
+    "CostFunctionFitter",
+    "is_zero_target",
+]
 
 #: Number of subintervals W: the grid has W+1 points per variable.
 DEFAULT_GRID_W = 6
 #: Minimum half-width of the grid interval, relative to the mean, used when
 #: the estimated sigma is (near) zero so the regression stays conditioned.
 MIN_RELATIVE_SPREAD = 0.05
+#: Targets no larger than this in magnitude count as zero: the unit is
+#: absent from the operator's cost and gets no fitted function.
+ZERO_TARGET_TOLERANCE = 1e-8
+#: Byte bound of a fit-solution memo (``ByteBudgetLRU(FIT_MEMO_BYTES)``).
+#: An entry is about 1 KiB, so the bound holds some 16k distinct
+#: problems; it is a constant because a miss only costs one NNLS solve.
+FIT_MEMO_BYTES = 16 * 1024 * 1024
+
+
+def is_zero_target(y: np.ndarray) -> bool:
+    """Whether every regression target is zero within the tolerance.
+
+    The same decision as ``np.allclose(y, 0.0)`` (``|y| <= 1e-8 +
+    1e-5 * 0``) for every input, NaN and infinities included, without
+    its broadcasting and finiteness bookkeeping.
+    """
+    return bool(np.all(np.abs(y) <= ZERO_TARGET_TOLERANCE))
 
 
 @dataclass(frozen=True)
@@ -76,63 +101,116 @@ class OperatorCostFunctions:
 
 
 class CostFunctionFitter:
-    """Fits C1..C6 coefficients for every operator of a plan."""
+    """Fits C1..C6 coefficients for every operator of a plan.
+
+    ``memo`` is an optional fit-solution memo (a
+    :class:`~repro.caching.ByteBudgetLRU`, bounded by
+    :data:`FIT_MEMO_BYTES` where the service owns one): NNLS solutions
+    keyed by the exact bytes of their ``(A, y)`` problem, shared across
+    plans. A hit returns the solution a miss would have computed, bit
+    for bit.
+    """
 
     def __init__(
         self,
         planned: PlannedQuery,
         estimate: SamplingEstimate,
         grid_w: int = DEFAULT_GRID_W,
+        memo: ByteBudgetLRU | None = None,
     ):
         self._planned = planned
         self._estimate = estimate
         self._cost_model = CostModel(planned.database)
         self._grid_w = grid_w
+        self._memo = memo
 
     # ------------------------------------------------------------------
     def fit_all(self) -> dict[int, OperatorCostFunctions]:
-        result: dict[int, OperatorCostFunctions] = {}
-        for node in self._planned.root.walk():
-            functions: dict[str, FittedCostFunction] = {}
-            for unit in COST_UNIT_NAMES:
-                fitted = self._fit_one(node, unit)
-                if fitted is not None:
-                    functions[unit] = fitted
-            result[node.op_id] = OperatorCostFunctions(node.op_id, functions)
-        return result
+        return {
+            node.op_id: OperatorCostFunctions(node.op_id, self._fit_operator(node))
+            for node in self._planned.root.walk()
+        }
 
     # ------------------------------------------------------------------
-    def _fit_one(self, node: PlanNode, unit: str) -> FittedCostFunction | None:
-        family = family_for(node.kind, unit)
-        if family is None:
-            return None
-        bindings = self._bind_variables(node, family)
-        grids = {
-            var: self._grid_points(bindings[var]) for var in family.variables
-        }
-        points = self._grid_product(family.variables, grids)
+    def _fit_operator(self, node: PlanNode) -> dict[str, FittedCostFunction]:
+        """Every nonzero unit's cost function of ``node``, in unit order.
 
-        rows = []
-        targets = []
-        for values in points:
-            rows.append(family.design_row(values))
-            targets.append(self._invoke_cost_model(node, unit, values))
-        design = np.asarray(rows)
-        y = np.asarray(targets)
-        if np.allclose(y, 0.0):
-            return None
-        coefficients, residual = nnls(design, y)
-        return FittedCostFunction(
-            unit=unit,
-            family=family,
-            coefficients=coefficients,
-            var_bindings=bindings,
-            fit_residual=residual,
+        Units whose families share a variable set share one grid: the
+        engine's cost model runs once per grid point, and every unit's
+        regression target is read off that one call's counts.
+        """
+        functions: dict[str, FittedCostFunction] = {}
+        sweeps: dict[tuple[str, ...], tuple] = {}
+        designs: dict[str, np.ndarray] = {}
+        for unit in COST_UNIT_NAMES:
+            family = family_for(node.kind, unit)
+            if family is None:
+                continue
+            sweep = sweeps.get(family.variables)
+            if sweep is None:
+                sweep = sweeps[family.variables] = self._sweep_grid(
+                    node, family.variables
+                )
+            bindings, points, counts = sweep
+            y = np.asarray([count[unit] for count in counts])
+            if is_zero_target(y):
+                continue
+            design = designs.get(family.name)
+            if design is None:
+                design = designs[family.name] = np.asarray(
+                    [family.design_row(values) for values in points]
+                )
+            coefficients, residual = self._solve(design, y)
+            functions[unit] = FittedCostFunction(
+                unit=unit,
+                family=family,
+                coefficients=coefficients,
+                var_bindings=dict(bindings),
+                fit_residual=residual,
+            )
+        return functions
+
+    def _sweep_grid(self, node: PlanNode, variables: tuple[str, ...]) -> tuple:
+        """``(bindings, grid points, per-point unit counts)`` for ``variables``."""
+        bindings = self._bind_variables(node, variables)
+        grids = {var: self._grid_points(bindings[var]) for var in variables}
+        points = self._grid_product(variables, grids)
+        return bindings, points, self._invoke_cost_model(node, variables, points)
+
+    def _solve(self, design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+        """NNLS, through the memo when one is attached.
+
+        The key is the problem itself — shape, dtype and every byte of
+        ``A`` and ``y`` — so a hit is exactly the problem a miss would
+        solve, and :func:`nnls` is a pure function of those bytes. The
+        cached coefficient array is shared by every plan that hits it,
+        hence read-only.
+        """
+        memo = self._memo
+        if memo is None:
+            return nnls(design, y)
+        design_bytes = design.tobytes()
+        y_bytes = y.tobytes()
+        key = (
+            design.shape, design.dtype.str, design_bytes,
+            y.shape, y.dtype.str, y_bytes,
         )
+        solution = memo.get(key)
+        if solution is None:
+            coefficients, residual = nnls(design, y)
+            coefficients.flags.writeable = False
+            solution = (coefficients, residual)
+            memo.put(
+                key, solution,
+                len(design_bytes) + len(y_bytes) + coefficients.nbytes,
+            )
+        return solution
 
-    def _bind_variables(self, node: PlanNode, family) -> dict[str, int]:
+    def _bind_variables(
+        self, node: PlanNode, variables: tuple[str, ...]
+    ) -> dict[str, int]:
         bindings: dict[str, int] = {}
-        for var in family.variables:
+        for var in variables:
             if var == "x":
                 bindings[var] = self._estimate.resolve(node.op_id).op_id
             elif var == "xl":
@@ -169,29 +247,48 @@ class CostFunctionFitter:
         ]
 
     def _invoke_cost_model(
-        self, node: PlanNode, unit: str, values: dict[str, float]
-    ) -> float:
-        """Ask the engine for the unit's count at candidate selectivities."""
+        self,
+        node: PlanNode,
+        variables: tuple[str, ...],
+        points: list[dict[str, float]],
+    ) -> list[dict[str, float]]:
+        """Ask the engine for every unit's count at each candidate point.
+
+        A bound selectivity scales the leaf-row product of its operator
+        (Eq. 3); the products do not depend on the point, so they are
+        taken once. Unbound cardinalities stay at the optimizer's
+        estimates.
+        """
+        planned = self._planned
         n_left = 0.0
         n_right = 0.0
-        m_out = self._planned.est_cards[node.op_id]
+        m_out = planned.est_cards[node.op_id]
+        left_rows = right_rows = out_rows = None
         if node.children:
             left = node.children[0]
-            xl = values.get("xl")
-            n_left = (
-                self._planned.leaf_row_product(left) * xl
-                if xl is not None
-                else self._planned.est_cards[left.op_id]
-            )
+            if "xl" in variables:
+                left_rows = planned.leaf_row_product(left)
+            else:
+                n_left = planned.est_cards[left.op_id]
         if len(node.children) > 1:
             right = node.children[1]
-            xr = values.get("xr")
-            n_right = (
-                self._planned.leaf_row_product(right) * xr
-                if xr is not None
-                else self._planned.est_cards[right.op_id]
+            if "xr" in variables:
+                right_rows = planned.leaf_row_product(right)
+            else:
+                n_right = planned.est_cards[right.op_id]
+        if "x" in variables:
+            out_rows = planned.leaf_row_product(node)
+        counts = []
+        for values in points:
+            if left_rows is not None:
+                n_left = left_rows * values["xl"]
+            if right_rows is not None:
+                n_right = right_rows * values["xr"]
+            if out_rows is not None:
+                m_out = out_rows * values["x"]
+            counts.append(
+                self._cost_model.operator_counts(
+                    node, n_left, n_right, m_out
+                ).as_dict()
             )
-        if "x" in values:
-            m_out = self._planned.leaf_row_product(node) * values["x"]
-        counts = self._cost_model.operator_counts(node, n_left, n_right, m_out)
-        return counts.as_dict()[unit]
+        return counts

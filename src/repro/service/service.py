@@ -22,7 +22,9 @@ one :class:`~repro.sampling.engine.SamplingEngine` shared by every
 prepare pass the service runs. Queries whose *whole* plan is new can
 still reuse the sample intermediates of any join/filter/scan sub-plan
 an earlier query already sampled — template instantiations that differ
-only in one branch's constants share everything else.
+only in one branch's constants share everything else. Beside it, a
+fit-solution memo reuses the exact NNLS solution of any fitting problem
+(design matrix and targets, byte for byte) an earlier prepare solved.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from ..calibration.calibrator import CalibratedUnits
-from ..caching import CacheStats
+from ..caching import ByteBudgetLRU, CacheStats
 from ..core.concurrency import ConcurrentPredictor, InterferenceModel
 from ..core.predictor import (
     PredictionResult,
@@ -43,7 +45,7 @@ from ..core.predictor import (
     Variant,
 )
 from ..core.variance import VarianceBreakdown
-from ..costfuncs.fitting import DEFAULT_GRID_W
+from ..costfuncs.fitting import DEFAULT_GRID_W, FIT_MEMO_BYTES
 from ..errors import PredictionError, error_code
 from ..mathstats.normal import NormalDistribution
 from ..optimizer.cost_model import COST_UNIT_NAMES
@@ -285,6 +287,9 @@ class PredictionService:
             if sampling_engine_bytes > 0
             else None
         )
+        # Exact NNLS solutions of the fitting step, keyed by the bytes of
+        # their problem; a fixed bound, since a miss costs one solve.
+        self._fit_memo = ByteBudgetLRU(FIT_MEMO_BYTES)
         # Guards ServiceStats counter updates and snapshots. The engine
         # itself is not thread-safe (callers serialize serving calls —
         # the Session facade does), but monitoring must be: report()
@@ -310,6 +315,11 @@ class PredictionService:
     @property
     def sampling_engine(self) -> SamplingEngine | None:
         return self._engine
+
+    @property
+    def fit_memo(self) -> ByteBudgetLRU:
+        """The fit-solution memo shared by every prepare pass."""
+        return self._fit_memo
 
     def report(self) -> ServiceReport:
         """Snapshot counters and cache stats of both cache layers.
@@ -386,6 +396,7 @@ class PredictionService:
             use_gee=self._use_gee,
             method=self._method,
             engine=self._engine,
+            fit_memo=self._fit_memo,
         )
         self._prepared.put(key, prepared)
         self._count(prepares_run=1)

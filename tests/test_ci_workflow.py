@@ -2,10 +2,11 @@
 
 CI definitions rot silently — a bad indent or a renamed Make target
 only surfaces once a PR is already red. This parses the YAML and pins
-the contract: lint, staticcheck, tier-1 tests, the HTTP serving smoke,
-the quick bench smoke, the regression guard, and the artifact uploads,
-on both push and pull_request. The Makefile's `ci` target must mirror
-the same HTTP smoke and staticcheck stages.
+the contract: lint, staticcheck, tier-1 tests, the end-to-end
+benchmark's self-test, the HTTP serving smoke, the quick bench smoke,
+the regression guard, and the artifact uploads, on both push and
+pull_request. The Makefile's `ci` target must mirror the same
+e2ebench, HTTP smoke and staticcheck stages.
 """
 
 from pathlib import Path
@@ -58,10 +59,32 @@ def test_gates_in_order(workflow):
     staticcheck = index_of("tools/staticcheck")
     docs = index_of("check_docs.py")
     tests = index_of("pytest -x -q")
+    e2ebench = index_of("unittest discover -s e2ebench")
     http_smoke = index_of("http_smoke.py")
     bench = index_of("repro bench --quick")
     guard = index_of("benchguard.py")
-    assert lint < staticcheck < docs < tests < http_smoke < bench < guard
+    assert (
+        lint < staticcheck < docs < tests < e2ebench < http_smoke < bench
+        < guard
+    )
+
+
+def test_e2ebench_self_test_stage(workflow):
+    """The benchmark's own self-test gates every push (and make ci).
+
+    It builds from the checkout like the benchmark does, so a change
+    that breaks a workload's run or its output checks fails here
+    rather than only when the benchmark is next run.
+    """
+    (stage,) = [
+        cmd for cmd in run_commands(workflow)
+        if "discover -s e2ebench" in cmd
+    ]
+    assert "python3 -m unittest discover -s e2ebench" in stage
+    makefile = (REPO_ROOT / "Makefile").read_text()
+    ci_target = makefile.split("\nci:", 1)[1].split("\n\n", 1)[0]
+    assert "-m unittest discover -s e2ebench" in ci_target
+    assert ci_target.index("e2ebench") < ci_target.index("http_smoke.py")
 
 
 def test_http_smoke_stage(workflow):

@@ -1,0 +1,448 @@
+"""The cost-function fitter, differentially locked to its reference.
+
+``ReferenceCostFunctionFitter`` below is the fitter the production one
+replaced, kept verbatim as the oracle: it fits one (operator, unit)
+pair at a time, rebinding the variables, rebuilding the grid and the
+design matrix, and calling the engine's cost model once per grid point
+*per unit*. The production :class:`CostFunctionFitter` samples each
+operator's grid once, reads all five units off one cost-model call per
+point, and may route its NNLS solves through an exact fit-solution
+memo. None of that may move a bit: coefficients, residuals, families,
+unit order and variable bindings are compared as bytes across every
+TPC-H template and the micro workloads, with and without GEE, with the
+histogram estimator, and at several grid widths — and memo hits,
+memo misses and memo-free fits must agree too.
+"""
+
+from __future__ import annotations
+
+import struct
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from repro.caching import ByteBudgetLRU
+from repro.core.predictor import UncertaintyPredictor
+from repro.costfuncs.families import C4, family_for
+from repro.costfuncs.fitting import (
+    DEFAULT_GRID_W,
+    FIT_MEMO_BYTES,
+    MIN_RELATIVE_SPREAD,
+    CostFunctionFitter,
+    FittedCostFunction,
+    OperatorCostFunctions,
+    is_zero_target,
+)
+from repro.costfuncs.nnls import nnls
+from repro.errors import FittingError
+from repro.optimizer.cost_model import COST_UNIT_NAMES, CostModel
+from repro.optimizer.optimizer import PlannedQuery
+from repro.plan.physical import PlanNode
+from repro.sampling import SampleDatabase, SelectivityEstimator
+from repro.sampling.estimator import SamplingEstimate
+from repro.sampling.histogram_estimator import HistogramSelectivityEstimator
+from repro.service import PredictionService
+from repro.workloads.micro import micro_join_queries, micro_scan_queries
+from repro.workloads.tpch_templates import TPCH_TEMPLATES
+
+
+class ReferenceCostFunctionFitter:
+    """Fits C1..C6 coefficients for every operator of a plan."""
+
+    def __init__(
+        self,
+        planned: PlannedQuery,
+        estimate: SamplingEstimate,
+        grid_w: int = DEFAULT_GRID_W,
+    ):
+        self._planned = planned
+        self._estimate = estimate
+        self._cost_model = CostModel(planned.database)
+        self._grid_w = grid_w
+
+    # ------------------------------------------------------------------
+    def fit_all(self) -> dict[int, OperatorCostFunctions]:
+        result: dict[int, OperatorCostFunctions] = {}
+        for node in self._planned.root.walk():
+            functions: dict[str, FittedCostFunction] = {}
+            for unit in COST_UNIT_NAMES:
+                fitted = self._fit_one(node, unit)
+                if fitted is not None:
+                    functions[unit] = fitted
+            result[node.op_id] = OperatorCostFunctions(node.op_id, functions)
+        return result
+
+    # ------------------------------------------------------------------
+    def _fit_one(self, node: PlanNode, unit: str) -> FittedCostFunction | None:
+        family = family_for(node.kind, unit)
+        if family is None:
+            return None
+        bindings = self._bind_variables(node, family)
+        grids = {
+            var: self._grid_points(bindings[var]) for var in family.variables
+        }
+        points = self._grid_product(family.variables, grids)
+
+        rows = []
+        targets = []
+        for values in points:
+            rows.append(family.design_row(values))
+            targets.append(self._invoke_cost_model(node, unit, values))
+        design = np.asarray(rows)
+        y = np.asarray(targets)
+        if np.allclose(y, 0.0):
+            return None
+        coefficients, residual = nnls(design, y)
+        return FittedCostFunction(
+            unit=unit,
+            family=family,
+            coefficients=coefficients,
+            var_bindings=bindings,
+            fit_residual=residual,
+        )
+
+    def _bind_variables(self, node: PlanNode, family) -> dict[str, int]:
+        bindings: dict[str, int] = {}
+        for var in family.variables:
+            if var == "x":
+                bindings[var] = self._estimate.resolve(node.op_id).op_id
+            elif var == "xl":
+                bindings[var] = self._estimate.resolve(node.children[0].op_id).op_id
+            elif var == "xr":
+                bindings[var] = self._estimate.resolve(node.children[1].op_id).op_id
+            else:
+                raise FittingError(f"unknown family variable: {var}")
+        return bindings
+
+    def _grid_points(self, var_id: int) -> np.ndarray:
+        """W+1 grid points over [mu - 3 sigma, mu + 3 sigma] ∩ [0, 1]."""
+        selectivity = self._estimate.per_node[var_id]
+        mean = selectivity.mean
+        spread = max(3.0 * selectivity.std, MIN_RELATIVE_SPREAD * max(mean, 1e-9))
+        low = max(mean - spread, 0.0)
+        high = min(mean + spread, 1.0)
+        if high <= low:
+            high = min(low + 1e-9, 1.0)
+        return np.linspace(low, high, self._grid_w + 1)
+
+    @staticmethod
+    def _grid_product(variables, grids) -> list[dict[str, float]]:
+        if not variables:
+            return [{}]
+        if len(variables) == 1:
+            var = variables[0]
+            return [{var: float(v)} for v in grids[var]]
+        first, second = variables
+        return [
+            {first: float(a), second: float(b)}
+            for a in grids[first]
+            for b in grids[second]
+        ]
+
+    def _invoke_cost_model(
+        self, node: PlanNode, unit: str, values: dict[str, float]
+    ) -> float:
+        """Ask the engine for the unit's count at candidate selectivities."""
+        n_left = 0.0
+        n_right = 0.0
+        m_out = self._planned.est_cards[node.op_id]
+        if node.children:
+            left = node.children[0]
+            xl = values.get("xl")
+            n_left = (
+                self._planned.leaf_row_product(left) * xl
+                if xl is not None
+                else self._planned.est_cards[left.op_id]
+            )
+        if len(node.children) > 1:
+            right = node.children[1]
+            xr = values.get("xr")
+            n_right = (
+                self._planned.leaf_row_product(right) * xr
+                if xr is not None
+                else self._planned.est_cards[right.op_id]
+            )
+        if "x" in values:
+            m_out = self._planned.leaf_row_product(node) * values["x"]
+        counts = self._cost_model.operator_counts(node, n_left, n_right, m_out)
+        return counts.as_dict()[unit]
+
+
+# ---------------------------------------------------------------------------
+# the differential harness
+
+#: Plans the workloads rarely produce: an index scan, a cross-table
+#: filter, a sort under a limit, a single-table scan.
+EDGE_SQLS = [
+    "SELECT * FROM lineitem WHERE l_shipdate <= DATE '1992-03-01'",
+    (
+        "SELECT * FROM orders, lineitem WHERE o_orderkey = l_orderkey "
+        "AND o_orderdate < l_shipdate AND o_totalprice > 300000"
+    ),
+    "SELECT * FROM orders WHERE o_totalprice > 100000 ORDER BY o_totalprice LIMIT 10",
+    "SELECT * FROM region",
+]
+
+GRID_WIDTHS = (2, 6, 9)
+ESTIMATORS = ("sampling", "sampling-gee", "histogram")
+
+
+def _pool(database) -> list[str]:
+    """Every TPC-H template (both forms), the micro workloads, the edges."""
+    rng = np.random.default_rng(20140901)
+    queries = []
+    for template in TPCH_TEMPLATES:
+        queries += [template.instantiate(rng), template.seljoin(rng)]
+    queries += micro_scan_queries(database, per_table=3)
+    queries += micro_join_queries(database, grid=2)
+    return queries + EDGE_SQLS
+
+
+def _estimate(kind, planned, sample_db):
+    if kind == "histogram":
+        return HistogramSelectivityEstimator(planned).estimate()
+    return SelectivityEstimator(
+        sample_db, planned, use_gee=kind == "sampling-gee"
+    ).estimate()
+
+
+def _fingerprint(fitted) -> list:
+    """Every fitted bit, in fit order: op ids, units, coefficients..."""
+    record = []
+    for op_id, operator in fitted.items():
+        assert operator.op_id == op_id
+        for unit, function in operator.functions.items():
+            coefficients = function.coefficients
+            record.append((
+                op_id,
+                unit,
+                function.unit,
+                function.family.name,
+                coefficients.dtype.str,
+                coefficients.shape,
+                coefficients.tobytes(),
+                struct.pack("<d", function.fit_residual),
+                tuple(function.var_bindings.items()),
+            ))
+    return record
+
+
+@pytest.fixture(scope="module")
+def plans(tpch_db, optimizer):
+    return [optimizer.plan_sql(sql) for sql in _pool(tpch_db)]
+
+
+@pytest.fixture(scope="module")
+def estimates(plans, sample_db):
+    return {
+        kind: [_estimate(kind, planned, sample_db) for planned in plans]
+        for kind in ESTIMATORS
+    }
+
+
+class TestDifferential:
+    def test_pool_covers_every_fitted_shape(self, plans):
+        kinds = {node.kind for planned in plans for node in planned.root.walk()}
+        names = {kind.name for kind in kinds}
+        assert {
+            "SEQ_SCAN", "INDEX_SCAN", "FILTER", "HASH_JOIN",
+            "NESTLOOP_JOIN", "SORT", "AGGREGATE", "LIMIT",
+        } <= names
+
+    @pytest.mark.parametrize("grid_w", GRID_WIDTHS)
+    @pytest.mark.parametrize("kind", ESTIMATORS)
+    def test_bitwise_equal_to_reference(self, plans, estimates, kind, grid_w):
+        memo = ByteBudgetLRU(FIT_MEMO_BYTES)
+        for planned, estimate in zip(plans, estimates[kind]):
+            reference = _fingerprint(
+                ReferenceCostFunctionFitter(planned, estimate, grid_w).fit_all()
+            )
+            assert reference, planned.explain()
+            assert _fingerprint(
+                CostFunctionFitter(planned, estimate, grid_w).fit_all()
+            ) == reference
+            assert _fingerprint(
+                CostFunctionFitter(planned, estimate, grid_w, memo=memo).fit_all()
+            ) == reference
+
+    def test_unit_order_is_canonical(self, plans, estimates):
+        for planned, estimate in zip(plans, estimates["sampling"]):
+            for operator in CostFunctionFitter(planned, estimate).fit_all().values():
+                units = operator.units()
+                assert units == [u for u in COST_UNIT_NAMES if u in units]
+
+    def test_functions_do_not_share_bindings(self, plans, estimates):
+        planned, estimate = plans[0], estimates["sampling"][0]
+        for operator in CostFunctionFitter(planned, estimate).fit_all().values():
+            bindings = [id(f.var_bindings) for f in operator.functions.values()]
+            assert len(set(bindings)) == len(bindings)
+
+
+class TestFitMemo:
+    def test_hit_miss_and_memo_free_fits_agree(self, plans, estimates):
+        memo = ByteBudgetLRU(FIT_MEMO_BYTES)
+        pairs = list(zip(plans, estimates["sampling"]))
+        free = [_fingerprint(CostFunctionFitter(p, e).fit_all()) for p, e in pairs]
+        cold = [
+            _fingerprint(CostFunctionFitter(p, e, memo=memo).fit_all())
+            for p, e in pairs
+        ]
+        misses = memo.stats.misses
+        hits = memo.stats.hits
+        warm = [
+            _fingerprint(CostFunctionFitter(p, e, memo=memo).fit_all())
+            for p, e in pairs
+        ]
+        assert free == cold == warm
+        # The second pass solved nothing: every problem was a hit.
+        assert memo.stats.misses == misses
+        assert memo.stats.hits - hits == sum(len(record) for record in warm)
+
+    def test_cached_coefficients_are_read_only(self, plans, estimates):
+        memo = ByteBudgetLRU(FIT_MEMO_BYTES)
+        fitted = CostFunctionFitter(
+            plans[0], estimates["sampling"][0], memo=memo
+        ).fit_all()
+        for operator in fitted.values():
+            for function in operator.functions.values():
+                assert not function.coefficients.flags.writeable
+                with pytest.raises(ValueError):
+                    function.coefficients[0] = 1.0
+
+    def test_one_memo_shared_across_sample_seeds(self, tpch_db, plans):
+        memo = ByteBudgetLRU(FIT_MEMO_BYTES)
+        for seed in (7, 8):
+            sample_db = SampleDatabase(tpch_db, sampling_ratio=0.05, seed=seed)
+            for planned in plans[:24]:
+                estimate = SelectivityEstimator(sample_db, planned).estimate()
+                assert _fingerprint(
+                    CostFunctionFitter(planned, estimate, memo=memo).fit_all()
+                ) == _fingerprint(
+                    ReferenceCostFunctionFitter(planned, estimate).fit_all()
+                )
+        assert memo.stats.hits > 0
+
+    def test_threads_sharing_one_memo_agree(self, plans, estimates):
+        """Concurrent fits through one memo: no lost update, no torn entry."""
+        memo = ByteBudgetLRU(FIT_MEMO_BYTES)
+        pairs = list(zip(plans, estimates["sampling"]))[:20]
+        expected = [
+            _fingerprint(ReferenceCostFunctionFitter(p, e).fit_all())
+            for p, e in pairs
+        ]
+        results: dict[int, list] = {}
+
+        def work(worker):
+            order = pairs if worker % 2 else pairs[::-1]
+            results[worker] = [
+                _fingerprint(CostFunctionFitter(p, e, memo=memo).fit_all())
+                for p, e in order
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(worker,))
+                for worker in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for worker, records in results.items():
+            assert records == (expected if worker % 2 else expected[::-1])
+        solves = sum(len(record) for record in expected)
+        assert memo.stats.lookups == 6 * solves
+        assert memo.stats.misses >= len(memo)
+
+    def test_entry_bytes_count_problem_and_solution(self, optimizer, sample_db):
+        # A bare scan fits C1 (one row, one coefficient) for cs and ct;
+        # co is zero without predicates. Each entry holds 8 bytes of A,
+        # 8 of y and 8 of coefficients.
+        planned = optimizer.plan_sql("SELECT * FROM region")
+        estimate = SelectivityEstimator(sample_db, planned).estimate()
+        memo = ByteBudgetLRU(FIT_MEMO_BYTES)
+        fitted = CostFunctionFitter(planned, estimate, memo=memo).fit_all()
+        assert fitted[planned.root.op_id].units() == ["cs", "ct"]
+        assert len(memo) == 2
+        assert memo.bytes_used == 2 * 24
+
+    def test_service_owns_one_memo_across_prepares(
+        self, tpch_db, calibrated_units, plans
+    ):
+        service = PredictionService(
+            tpch_db, calibrated_units, sampling_ratio=0.05, seed=3
+        )
+        memo = service.fit_memo
+        assert memo.max_bytes == FIT_MEMO_BYTES
+        for planned in plans[:12]:
+            prepared, _ = service.prepare(planned)
+            reference = UncertaintyPredictor(calibrated_units).prepare(
+                planned, service.sample_db
+            )
+            assert _fingerprint(prepared.fitted) == _fingerprint(
+                reference.fitted
+            )
+        assert service.fit_memo is memo
+        assert memo.stats.lookups > 0
+
+
+# ---------------------------------------------------------------------------
+# pinned numerics
+
+
+def _neighbours(value):
+    return [np.nextafter(value, -np.inf), value, np.nextafter(value, np.inf)]
+
+
+ZERO_EDGE_VALUES = (
+    _neighbours(1e-8) + _neighbours(-1e-8)
+    + [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0]
+)
+
+
+class TestZeroTarget:
+    @pytest.mark.parametrize("value", ZERO_EDGE_VALUES)
+    def test_matches_allclose_on_each_value(self, value):
+        y = np.array([value])
+        assert is_zero_target(y) == bool(np.allclose(y, 0.0))
+
+    @pytest.mark.parametrize("value", ZERO_EDGE_VALUES)
+    def test_matches_allclose_beside_zeros(self, value):
+        for y in (np.array([0.0, value, -0.0]), np.array([value] * 4)):
+            assert is_zero_target(y) == bool(np.allclose(y, 0.0))
+
+    def test_matches_allclose_on_random_targets(self):
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            size = int(rng.integers(1, 50))
+            y = rng.normal(scale=10.0 ** rng.integers(-12, 2), size=size)
+            assert is_zero_target(y) == bool(np.allclose(y, 0.0))
+
+
+class TestSquaredColumn:
+    def test_c4_squares_with_scalar_pow(self):
+        """C4's ``xl**2`` column is ``[v ** 2 for v in grid]``, bit for bit.
+
+        Python's float ``**`` goes through libm ``pow``, which is not
+        always correctly rounded, so it can differ from ``v * v`` and
+        from numpy's vectorized ``arr ** 2`` (a multiply) in the last
+        bit. The fitter's design rows — and so every fitted coefficient
+        — are pinned to the scalar form; a vectorized design row would
+        move bits.
+        """
+        rng = np.random.default_rng(3)
+        for _ in range(2000):
+            low, high = sorted(rng.random(2))
+            grid = np.linspace(low, high, DEFAULT_GRID_W + 1)
+            values = [float(v) for v in grid]
+            design = np.asarray([C4.design_row({"xl": v}) for v in values])
+            expected = np.array([v ** 2 for v in values])
+            assert design[:, 0].tobytes() == expected.tobytes()
+            assert design[:, 1].tobytes() == grid.tobytes()

@@ -449,7 +449,7 @@ class TestDeterminism:
         assert "a benchmark" in finding.message
 
     def test_outside_scoped_trees_not_applicable(self):
-        assert run_rule("determinism", JITTER, path="src/repro/optimizer/opt.py") == []
+        assert run_rule("determinism", JITTER, path="src/repro/serving/opt.py") == []
         assert run_rule("determinism", JITTER, path="tests/test_retry.py") == []
 
     def test_service_tree_in_scope(self):
@@ -459,6 +459,26 @@ class TestDeterminism:
             "determinism", JITTER, path="src/repro/service/service.py"
         )
         assert "process-global" in finding.message
+
+    def test_prepare_path_in_scope(self):
+        for subsystem in ("costfuncs", "sampling", "core", "optimizer"):
+            (finding,) = run_rule(
+                "determinism", JITTER, path=f"src/repro/{subsystem}/mod.py"
+            )
+            assert "prepare-path" in finding.message
+
+    def test_hash_keyed_fit_memo_flagged(self):
+        # Builtin hash() of the arrays as a memo key: two problems that
+        # collide would share one cached NNLS solution.
+        source = (
+            "def memo_key(design, y):\n"
+            "    return hash((design.tobytes(), y.tobytes()))\n"
+        )
+        (finding,) = run_rule(
+            "determinism", source, path="src/repro/costfuncs/fitting.py"
+        )
+        assert "hash()" in finding.message
+        assert "crc32" in finding.message
 
     def test_seeded_rng_clean(self):
         source = "import random\nrng = random.Random(7)\n"

@@ -6,11 +6,16 @@ machines: ``benchmarks/`` (the regression-guarded scenarios),
 ``src/repro/replay/`` (byte-identical schedules per seed is the
 subsystem's core contract), ``src/repro/datagen/`` (deterministic
 database generation is what makes sessions reproducible),
-``src/repro/experiments/`` (the paper's tables and figures), and
+``src/repro/experiments/`` (the paper's tables and figures),
 ``src/repro/service/`` (the batch kernels are bitwise-locked to the
 scalar path and the routing ring keys on the interned CRC-32 plan
 signature — a stray ``hash()`` or global RNG would silently break
-both contracts).
+both contracts), and the prepare path below it: ``src/repro/costfuncs/``,
+``src/repro/sampling/``, ``src/repro/core/`` and
+``src/repro/optimizer/`` (served predictions are bitwise-reproducible,
+and the fit-solution memo and the sampling engine key on exact bytes
+and signatures — a memo keyed on builtin ``hash()`` of its arrays would
+hand one plan another's coefficients on a collision).
 
 Flagged:
 
@@ -57,14 +62,23 @@ SEEDED_RNG_CONSTRUCTORS = {
 _RNG_MODULES = ("random", "numpy.random")
 
 #: ``src/repro/<dir>`` trees held to the same bar as ``benchmarks/``.
-DETERMINISTIC_SUBSYSTEMS = ("replay", "datagen", "experiments", "service")
+DETERMINISTIC_SUBSYSTEMS = (
+    "replay",
+    "datagen",
+    "experiments",
+    "service",
+    "costfuncs",
+    "sampling",
+    "core",
+    "optimizer",
+)
 
 
 def _noun(ctx: FileContext) -> str:
     """Where the determinism requirement comes from, for messages."""
     if "benchmarks" in ctx.path.parts:
         return "a benchmark"
-    return "replay/datagen/experiments/service code"
+    return "replay/datagen/experiments/service or prepare-path code"
 
 
 def rng_findings(ctx: FileContext, noun: str | None = None) -> list[Finding]:
