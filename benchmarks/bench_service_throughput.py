@@ -12,12 +12,13 @@ distinct query once, shares the prepared artifacts across the fan-out
 and across repeats, and assembles with the vectorized matrix path.
 
 The second regime is the warm recurring-batch path: one warmed service
-serving the same batch through the scalar per-query loop vs the SoA
-cross-query kernels (``batch_kernel="soa"``, docs/service.md "Batch
-kernels"), including the per-result confidence-interval payload the
-serving tier computes per response. ``soa_retained`` (hard floor: the
-SoA kernels must stay >= 3x over the scalar loop) and ``soa_bitwise``
-(hard floor 1.0: every payload float bit-identical) guard that path.
+serving the same batch through ``predict_batch`` (the cross-query SoA
+kernels, docs/service.md "Batch kernels") vs a reference loop written
+here that calls ``predict_query`` once per query, including the
+per-result confidence-interval payload the serving tier computes per
+response. ``soa_retained`` (hard floor: the batch path must stay >= 3x
+over the per-query loop) and ``soa_bitwise`` (hard floor 1.0: every
+payload float bit-identical) guard that path.
 
 Also cross-checks the vectorized assembly against the scalar reference
 on every plan the experiment lab produces (all benchmarks, all
@@ -96,19 +97,19 @@ def scenario(ctx):
         for prediction, naive_mean in zip(batch, naive_means)
     )
 
-    # Warm recurring-batch regime: one warmed service, per-call kernel
-    # override. The meter includes the per-result interval payload the
-    # serving tier computes per response (the SoA kernel precomputes
-    # those bounds in the same array pass); the payload doubles as the
-    # bitwise-agreement probe.
+    # Warm recurring-batch regime: one warmed service, the batch path
+    # against the per-query loop. The meter includes the per-result
+    # interval payload the serving tier computes per response (the
+    # batch path precomputes those bounds in the same array pass); the
+    # payload doubles as the bitwise-agreement probe.
     warm = PredictionService(db, units, sampling_ratio=SAMPLING_RATIO, seed=1)
     warm.predict_batch(queries, variants=VARIANTS, mpls=MPLS)
     reps = ctx.pick(quick=3, full=5)
     scalar_seconds, scalar_payload = ctx.best_of(
-        lambda: _serve_warm(warm, queries, "scalar"), reps
+        lambda: _payload(_serve_per_query(warm, queries)), reps
     )
     soa_seconds, soa_payload = ctx.best_of(
-        lambda: _serve_warm(warm, queries, "soa"), reps
+        lambda: _payload(_serve_batch(warm, queries)), reps
     )
 
     return [
@@ -138,22 +139,30 @@ def scenario(ctx):
 CONFIDENCES = (0.5, 0.9, 0.99)
 
 
-def _serve_warm(service, queries, kernel):
-    """One warm serving pass: predict the batch, emit the full payload.
+def _serve_batch(service, queries):
+    """The batch path, precomputing the payload's intervals."""
+    return service.predict_batch(
+        queries, variants=VARIANTS, mpls=MPLS, confidences=CONFIDENCES
+    )
+
+
+def _serve_per_query(service, queries):
+    """The reference: one ``predict_query`` per query, intervals on demand."""
+    return [
+        service.predict_query(sql, variants=VARIANTS, mpls=MPLS)
+        for sql in queries
+    ]
+
+
+def _payload(predictions):
+    """Emit the full payload of one warm serving pass.
 
     Returns every served float — means, variances, stds, and both
     bounds of every confidence interval — as exact little-endian bytes,
     so timing and the bitwise probe share one pass.
     """
-    batch = service.predict_batch(
-        queries,
-        variants=VARIANTS,
-        mpls=MPLS,
-        kernel=kernel,
-        confidences=CONFIDENCES if kernel == "soa" else None,
-    )
     payload = []
-    for prediction in batch:
+    for prediction in predictions:
         for result in prediction.results.values():
             payload.append(struct.pack("<d", result.mean))
             payload.append(struct.pack("<d", result.breakdown.variance))

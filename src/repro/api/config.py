@@ -30,7 +30,6 @@ from ..feedback import DEFAULT_TENANT, FeedbackConfig
 from ..hardware import PROFILES
 from ..sampling.engine import DEFAULT_ENGINE_BUDGET_BYTES
 from ..scheduler import SCHEDULER_POLICIES
-from ..service.kernels import BATCH_KERNELS
 
 __all__ = ["ESTIMATOR_BACKENDS", "ClientConfig", "SessionConfig"]
 
@@ -60,8 +59,6 @@ class SessionConfig:
     # -- cache budgets ------------------------------------------------
     prepared_cache_size: int = 256
     sampling_engine_bytes: int = DEFAULT_ENGINE_BUDGET_BYTES
-    # -- batch execution (docs/service.md "Batch kernels") ------------
-    batch_kernel: str = "scalar"
     # -- request defaults ---------------------------------------------
     default_variants: tuple[str, ...] = ("all",)
     default_mpls: tuple[int, ...] = (1,)
@@ -103,11 +100,6 @@ class SessionConfig:
         if not 0.0 < self.sampling_ratio <= 1.0:
             raise SessionError(
                 f"sampling_ratio must be in (0, 1], got {self.sampling_ratio}"
-            )
-        if self.batch_kernel not in BATCH_KERNELS:
-            raise SessionError(
-                f"unknown batch kernel {self.batch_kernel!r}; "
-                f"expected one of {', '.join(BATCH_KERNELS)}"
             )
         if not self.default_variants:
             raise SessionError("default_variants must name at least one variant")

@@ -123,7 +123,6 @@ class Session:
             method=config.estimator,
             cache_size=config.prepared_cache_size,
             sampling_engine_bytes=config.sampling_engine_bytes,
-            batch_kernel=config.batch_kernel,
         )
         self._feedback = FeedbackRecalibrator(config.feedback())
         self._lock = threading.RLock()
@@ -272,11 +271,10 @@ class Session:
         :class:`~repro.service.QueryFailure` in the response instead of
         failing the batch.
 
-        The engine runs the batch with its configured ``batch_kernel``
-        (:attr:`SessionConfig.batch_kernel`); the resolved confidence
-        fan-out is passed down so the SoA kernel can precompute every
-        interval bound in the same array pass. Both kernels serve
-        bitwise-identical responses.
+        The resolved confidence fan-out is passed down so the engine's
+        batch kernels precompute every interval bound in the same array
+        pass; each response is bit for bit what :meth:`predict` serves
+        for the same SQL and fan-out.
         """
         if not isinstance(batch, BatchRequest):
             batch = BatchRequest(queries=tuple(batch))

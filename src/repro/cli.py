@@ -40,7 +40,6 @@ from .executor import Executor
 from .hardware import PROFILES
 from .optimizer import Optimizer
 from .scheduler import SCHEDULER_POLICIES
-from .service import BATCH_KERNELS
 
 __all__ = ["main", "build_parser"]
 
@@ -116,12 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--template-seed", type=int, default=0,
         help="RNG seed for --templates instantiation",
     )
-    batch.add_argument(
-        "--batch-kernel", choices=BATCH_KERNELS, default="scalar",
-        help="batch execution strategy: the per-query scalar reference "
-        "loop or the cross-query SoA kernels — bitwise-identical "
-        "output (see docs/service.md; default: scalar)",
-    )
 
     serve = sub.add_parser(
         "serve", help="serve predictions over HTTP/JSON (see docs/api.md)"
@@ -174,13 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="how workers share the port: kernel SO_REUSEPORT balancing "
         "or parent-socket handoff (default: auto-detect)",
-    )
-    serve.add_argument(
-        "--batch-kernel", choices=BATCH_KERNELS, default="scalar",
-        help="batch execution strategy for /v1/predict-batch: the "
-        "per-query scalar reference loop or the cross-query SoA "
-        "kernels — bitwise-identical output (see docs/service.md; "
-        "default: scalar)",
     )
 
     replay = sub.add_parser(
@@ -467,12 +453,7 @@ def _cmd_predict_batch(args, out) -> int:
     variants = _parse_variants(args.variants)
     mpls = _parse_mpls(args.mpl)
     session = Session(
-        _session_config(
-            args,
-            default_variants=variants,
-            default_mpls=mpls,
-            batch_kernel=args.batch_kernel,
-        )
+        _session_config(args, default_variants=variants, default_mpls=mpls)
     )
     # Failures are skipped: one malformed statement yields a per-query
     # error row, not an aborted batch; the exit code still reports it.
@@ -560,7 +541,6 @@ def _cmd_serve(args, out) -> int:
         default_variants=variants,
         default_mpls=mpls,
         scheduler_policy=args.scheduler,
-        batch_kernel=args.batch_kernel,
     )
     if args.workers != 1:
         return _serve_pool(args, out, config)

@@ -8,7 +8,6 @@ from .cache import (
     subplan_signature,
 )
 from .kernels import (
-    BATCH_KERNELS,
     BatchAssembly,
     BatchPlan,
     assemble_batch,
@@ -26,7 +25,6 @@ from .service import (
 )
 
 __all__ = [
-    "BATCH_KERNELS",
     "BatchAssembly",
     "BatchPlan",
     "BatchPrediction",

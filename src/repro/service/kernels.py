@@ -1,11 +1,13 @@
-"""Cross-query SoA batch kernels, bitwise-locked to the scalar path.
+"""Cross-query SoA batch kernels, bitwise-locked to the per-query path.
 
-The scalar batch path loops queries in python and, per query, fans
+These kernels are the only implementation of
+:meth:`~repro.service.PredictionService.predict_batch`. Serving one
+query (:meth:`~repro.service.PredictionService.predict_query`) fans
 variants x mpls through :meth:`~repro.core.variance.VectorizedAssembler
 .assemble` — every call redoing the monomial-to-unit-space kernel
 contraction (two MxM matrix products) and paying python call overhead
-per (query, variant, mpl) combination. This module restructures the
-whole batch as structure-of-arrays:
+per (variant, mpl) combination, then one scalar quantile per interval
+bound. A batch instead runs as structure-of-arrays:
 
 1. :func:`build_batch_plan` interns every query's plan signature (via
    :func:`~repro.service.cache.plan_signature_hash`, the same hash the
@@ -24,13 +26,14 @@ whole batch as structure-of-arrays:
    for the whole batch with vectorized quantile math.
 
 **The bitwise contract.** Every number this module produces is
-bit-identical to what the scalar path
+bit-identical to what the per-query path
 (:meth:`~repro.core.variance.VectorizedAssembler.assemble` +
 :meth:`~repro.mathstats.normal.NormalDistribution.interval` +
 :meth:`~repro.core.predictor.PredictionResult.confidence_interval`)
 produces for the same inputs — ``tests/test_kernels.py`` enforces this
-differentially over hundreds of randomized batches. That constraint
-shapes the implementation:
+differentially over hundreds of randomized batches, against a
+``predict_query``-per-query oracle. That constraint shapes the
+implementation:
 
 * Row-wise reductions use formulations verified bit-identical to their
   scalar counterparts on this stack: ``(W[None] * C).reshape(P, U*U)
@@ -68,7 +71,6 @@ from ..optimizer.optimizer import PlannedQuery
 from .cache import plan_signature, plan_signature_hash
 
 __all__ = [
-    "BATCH_KERNELS",
     "BatchAssembly",
     "BatchPlan",
     "assemble_batch",
@@ -76,11 +78,6 @@ __all__ = [
     "build_batch_plan",
     "segment_sum",
 ]
-
-#: The batch execution strategies ``PredictionService.predict_batch``
-#: accepts: "scalar" (the per-query reference loop, the default) and
-#: "soa" (this module).
-BATCH_KERNELS = ("scalar", "soa")
 
 _SQRT2 = math.sqrt(2)
 
@@ -165,7 +162,7 @@ class BatchPlan:
         negative variances across *all* plans at once; offenders are
         localized back to their plan via integer :func:`segment_sum`
         over the flag array. A diagnostic for tests and debugging — the
-        serving path does not run it, because the scalar path it must
+        serving path does not run it, because the per-query path it must
         stay bitwise-identical to performs no such check.
         """
         flags = (
@@ -382,7 +379,7 @@ def assemble_batch(
                 unit_part[:, vi, li] = class_unit[:, ci]
             elif not moments_finite:
                 # ddot(zeros, g * g) is exactly +0.0 for finite g — the
-                # zero-initialized rows already match the scalar path.
+                # zero-initialized rows already match the per-query path.
                 # A non-finite g would make the scalar contraction NaN,
                 # so only then compute it explicitly.
                 unit_col = unit_part[:, vi, li]

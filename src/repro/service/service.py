@@ -13,9 +13,14 @@ The division of labour per query:
 * plan       — once per distinct SQL string (memoized);
 * prepare    — once per distinct (plan, sample set): the sampling pass
                and cost-function fitting, by far the dominant cost;
-* assemble   — once per (variant, mpl) via the shared
-               :class:`~repro.core.variance.VectorizedAssembler`, a few
-               small matrix products each.
+* assemble   — a single query (:meth:`PredictionService.predict_query`)
+               runs once per (variant, mpl) through the shared
+               :class:`~repro.core.variance.VectorizedAssembler`; a
+               batch (:meth:`PredictionService.predict_batch`) runs the
+               whole (query, variant, mpl) fan-out, plus its
+               confidence intervals, as one pass of the cross-query
+               array kernels in :mod:`repro.service.kernels`, bit for
+               bit the per-query numbers.
 
 Below the prepared-artifact cache sits a second, finer-grained layer:
 one :class:`~repro.sampling.engine.SamplingEngine` shared by every
@@ -54,10 +59,9 @@ from ..sampling.engine import DEFAULT_ENGINE_BUDGET_BYTES, SamplingEngine
 from ..sampling.sample_db import SampleDatabase
 from ..storage import Database
 from .cache import PreparedCache, plan_signature
-from .kernels import BATCH_KERNELS, assemble_batch, batch_intervals, build_batch_plan
+from .kernels import assemble_batch, batch_intervals, build_batch_plan
 
 __all__ = [
-    "BATCH_KERNELS",
     "BatchPrediction",
     "PredictionService",
     "QueryFailure",
@@ -249,21 +253,9 @@ class PredictionService:
         method: str = "sampling",
         cache_size: int = 256,
         sampling_engine_bytes: int = DEFAULT_ENGINE_BUDGET_BYTES,
-        batch_kernel: str = "scalar",
     ):
         """``sampling_engine_bytes`` budgets the sub-plan sampling cache;
-        0 disables that layer entirely (every prepare samples cold).
-        ``batch_kernel`` selects the default :meth:`predict_batch`
-        execution strategy: "scalar" (the per-query reference loop) or
-        "soa" (the cross-query array kernels of
-        :mod:`repro.service.kernels`, bitwise-identical and faster on
-        warm batches)."""
-        if batch_kernel not in BATCH_KERNELS:
-            raise PredictionError(
-                f"unknown batch kernel {batch_kernel!r}; "
-                f"expected one of {', '.join(BATCH_KERNELS)}"
-            )
-        self._batch_kernel = batch_kernel
+        0 disables that layer entirely (every prepare samples cold)."""
         self._database = database
         self._optimizer = Optimizer(database, optimizer_config)
         self._sample_db = SampleDatabase(
@@ -299,11 +291,6 @@ class PredictionService:
         self.stats = ServiceStats()
 
     # -- introspection -----------------------------------------------------
-    @property
-    def batch_kernel(self) -> str:
-        """The default :meth:`predict_batch` execution strategy."""
-        return self._batch_kernel
-
     @property
     def sample_db(self) -> SampleDatabase:
         return self._sample_db
@@ -435,10 +422,23 @@ class PredictionService:
         variants: Sequence[Variant] = (Variant.ALL,),
         mpls: Sequence[int] = (1,),
         skip_failures: bool = False,
-        kernel: str | None = None,
         confidences: Sequence[float] | None = None,
     ) -> BatchPrediction:
-        """A whole batch; see :meth:`predict_query` for the per-query fan-out.
+        """A whole batch, fanned out like :meth:`predict_query` per query.
+
+        Stage 1 plans and prepares each query (memoized plan, cached
+        prepare). The remaining stages run the whole batch through the
+        cross-query array kernels: distinct plans are interned and
+        stacked (:func:`~repro.service.kernels.build_batch_plan`),
+        assembled in shared arrays
+        (:func:`~repro.service.kernels.assemble_batch`), the requested
+        ``confidences`` bounded in the same pass
+        (:func:`~repro.service.kernels.batch_intervals`), and the
+        results gathered back per query. Every served number is bit for
+        bit what :meth:`predict_query` serves for the same query, and a
+        completed batch leaves the same counter deltas as calling it
+        once per query. Intervals at levels outside ``confidences`` are
+        computed on demand, as for a single query.
 
         With ``skip_failures=True``, a query that cannot be planned or
         predicted (malformed SQL, unsupported plan shape, a predicate
@@ -448,87 +448,15 @@ class PredictionService:
         converted — a serving batch must degrade per query, and errors
         escaping the library's own hierarchy (e.g. numpy type errors
         raised while evaluating a predicate over sample columns) abort
-        the batch just as hard as a parse error would.
-
-        ``kernel`` overrides the service's configured ``batch_kernel``
-        for this call: "scalar" runs the per-query reference loop below;
-        "soa" runs the cross-query array kernels
-        (:mod:`repro.service.kernels`), bitwise-identical on every
-        served number. ``confidences`` is honored only by the SoA
-        kernel, which precomputes the requested interval bounds in the
-        same array pass; the scalar path leaves intervals to be computed
-        on demand, exactly as before.
+        the batch just as hard as a parse error would. With
+        ``skip_failures=False`` the first failure propagates, and an
+        aborted batch counts no query as served: the plans and prepares
+        it already ran stay counted and cached, but ``queries_served``
+        and ``assemblies`` do not move.
         """
-        resolved = self._batch_kernel if kernel is None else kernel
-        if resolved not in BATCH_KERNELS:
-            raise PredictionError(
-                f"unknown batch kernel {resolved!r}; "
-                f"expected one of {', '.join(BATCH_KERNELS)}"
-            )
-        if resolved == "soa":
-            return self._predict_batch_soa(
-                queries,
-                tuple(variants),
-                tuple(mpls),
-                skip_failures,
-                tuple(confidences) if confidences else (),
-            )
-        before = self._snapshot_stats()
-        started = time.perf_counter()
-        predictions: list[QueryPrediction] = []
-        failures: list[QueryFailure] = []
-        for index, query in enumerate(queries):
-            if not skip_failures:
-                predictions.append(
-                    self.predict_query(query, variants=variants, mpls=mpls)
-                )
-                continue
-            try:
-                predictions.append(
-                    self.predict_query(query, variants=variants, mpls=mpls)
-                )
-            except Exception as error:  # noqa: BLE001 — per-query isolation
-                self._count(queries_failed=1)
-                failures.append(
-                    QueryFailure(
-                        index=index,
-                        sql=query if isinstance(query, str) else None,
-                        error=f"{type(error).__name__}: {error}",
-                        code=error_code(error),
-                    )
-                )
-        return BatchPrediction(
-            predictions=predictions,
-            elapsed_seconds=time.perf_counter() - started,
-            stats=self._snapshot_stats().since(before),
-            failures=failures,
-        )
-
-    def _predict_batch_soa(
-        self,
-        queries: Iterable[str | PlannedQuery],
-        variants: tuple[Variant, ...],
-        mpls: tuple[int, ...],
-        skip_failures: bool,
-        confidences: tuple[float, ...],
-    ) -> BatchPrediction:
-        """The structure-of-arrays batch path (``batch_kernel="soa"``).
-
-        Stage 1 mirrors the scalar loop exactly — per-query plan +
-        cached prepare, with the same failure isolation and counter
-        increments. Stages 2-4 replace the per-(query, variant, mpl)
-        assembly loop: distinct plans are interned and stacked
-        (:func:`~repro.service.kernels.build_batch_plan`), assembled in
-        shared arrays (:func:`~repro.service.kernels.assemble_batch`),
-        intervals vectorized
-        (:func:`~repro.service.kernels.batch_intervals`), and the
-        results gathered back per query. Every served number is
-        bit-identical to the scalar path; completed batches also leave
-        identical counter deltas. The one observable divergence: with
-        ``skip_failures=False`` an aborting batch raises before *any*
-        query is counted as served, where the scalar loop had already
-        counted the queries preceding the failure.
-        """
+        variants = tuple(variants)
+        mpls = tuple(mpls)
+        confidences = tuple(confidences) if confidences else ()
         before = self._snapshot_stats()
         started = time.perf_counter()
         entries: list[tuple[int, str | None, PlannedQuery, PreparedPrediction, bool]] = []

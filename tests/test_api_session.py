@@ -57,6 +57,14 @@ class TestSessionConfig:
         with pytest.raises(SessionError):
             SessionConfig(**changes)
 
+    def test_saved_batch_kernel_field_still_loads(self):
+        """Configs saved while ``batch_kernel`` chose between two
+        bit-identical batch paths load as plain unknown fields."""
+        record = SessionConfig().to_dict()
+        assert "batch_kernel" not in record
+        record["batch_kernel"] = "scalar"
+        assert SessionConfig.from_dict(record) == SessionConfig()
+
     def test_from_dict_rejects_non_mapping(self):
         with pytest.raises(SessionError):
             SessionConfig.from_dict("scale_factor: 1")

@@ -18,8 +18,15 @@ import random
 
 import pytest
 
-from repro.api import Observation, PredictRequest, Session, SessionConfig
+from repro.api import (
+    BatchRequest,
+    Observation,
+    PredictRequest,
+    Session,
+    SessionConfig,
+)
 from repro.api.session import nested_levels, static_scale
+from repro.api.wire import dumps
 
 SQLS = (
     "SELECT COUNT(*) FROM orders WHERE o_totalprice > 100000",
@@ -243,3 +250,64 @@ class TestSessionServesNestedIntervals:
                     expected = result.confidence_interval(interval.confidence)
                     assert (interval.low, interval.high) == expected
                     assert math.isfinite(interval.high)
+
+
+class TestBatchesUnderFeedback:
+    def test_batch_responses_equal_single_predicts(
+        self, tpch_db, calibrated_units
+    ):
+        """A batch for an active tenant serves each query's single answer.
+
+        Scores of 3 certify 0.5 and 0.9 conformally at a scale of 3,
+        above the static 2.576 of the uncertifiable 0.99, so 0.99 is
+        lifted to the scale served below it; 0.999's static 3.29 wins,
+        so it keeps its static interval, which the batch precomputes.
+        """
+        session = Session.from_components(
+            tpch_db,
+            calibrated_units,
+            SessionConfig(
+                sampling_ratio=0.05, sampling_seed=3,
+                feedback_window=64, feedback_min_observations=8,
+            ),
+        )
+        tenant = "batched"
+        confidences = (0.99, 0.5, 0.999, 0.9)
+        base = session.predict(SQLS[0]).results[0]
+        session.predict(SQLS[1])  # warm, so cache flags agree too
+        for _ in range(12):
+            ack = session.observe(Observation(
+                sql=SQLS[0],
+                actual_seconds=base.mean + 3.0 * base.std,
+                tenant=tenant,
+                predicted_mean=base.mean,
+                predicted_std=base.std,
+            ))
+        assert ack.active
+        own = session._feedback.scales_for(tenant, confidences)[1]
+        served = nested_levels(confidences, own)
+        assert own[0] is None and own[2] is None
+        assert served[0] == (own[3], None) and own[3] > static_scale(0.99)
+        assert served[2] == (static_scale(0.999), 0.999)
+
+        fanout = {
+            "variants": ("all", "nocov", "novar[x]"),
+            "mpls": (1, 3),
+            "confidences": confidences,
+        }
+        queries = (SQLS[1], SQLS[0], SQLS[1])
+        batch = session.predict_batch(
+            BatchRequest(queries=queries, tenant=tenant, **fanout)
+        )
+        assert batch.failures == ()
+        assert len(batch) == len(queries)
+        for sql, response in zip(queries, batch):
+            single = session.predict(
+                PredictRequest(sql=sql, tenant=tenant, **fanout)
+            )
+            assert single.feedback is not None
+            for version in (1, 2):
+                assert dumps(response.to_dict(version)) == dumps(
+                    single.to_dict(version)
+                )
+        session.close()

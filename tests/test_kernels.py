@@ -1,12 +1,13 @@
-"""The SoA batch kernels, differentially locked to the scalar path.
+"""The SoA batch kernels, differentially locked to the per-query path.
 
 The contract under test (docs/service.md "Batch kernels"): every number
-the ``batch_kernel="soa"`` path serves — means, variances, stds, all
-three variance-breakdown terms, per-unit means, and both bounds of
-every confidence interval — is *bitwise* identical to the scalar
-per-query reference loop. Closeness is not enough: the SoA path exists
-so deployments can switch kernels without re-validating numerics, and
-that argument only holds at the bit level. The harness therefore packs
+``PredictionService.predict_batch`` serves — means, variances, stds,
+all three variance-breakdown terms, per-unit means, and both bounds of
+every confidence interval — is *bitwise* identical to serving each
+query on its own, as the oracle in ``batch_oracle.py`` does (one
+``predict_query`` call per query). Closeness is not enough: a batch
+must answer exactly what the same queries answer one at a time, or a
+client could tell the two endpoints apart. The harness therefore packs
 every float with ``struct.pack("<d", ...)`` and compares bytes across
 hundreds of seeded random batches (ragged sizes, duplicate SQL,
 variant/mpl/confidence fan-outs, point-mass variances, single-node and
@@ -21,11 +22,16 @@ import zlib
 import numpy as np
 import pytest
 
+from batch_oracle import predict_batch_oracle
 from repro.core.predictor import Variant
 from repro.errors import PredictionError
-from repro.service import PredictionService, plan_signature, plan_signature_hash
+from repro.service import (
+    PredictionService,
+    ServiceStats,
+    plan_signature,
+    plan_signature_hash,
+)
 from repro.service.kernels import (
-    BATCH_KERNELS,
     assemble_batch,
     batch_intervals,
     build_batch_plan,
@@ -116,16 +122,31 @@ def _query_payload(prediction, confidences):
     return blob
 
 
-def _batch_payloads(service, queries, variants, mpls, confidences, kernel,
-                    skip_failures=False):
-    batch = service.predict_batch(
+def _soa(service, queries, variants, mpls, confidences, skip_failures):
+    """The batch path, precomputing the requested intervals."""
+    return service.predict_batch(
         queries,
         variants=variants,
         mpls=mpls,
         skip_failures=skip_failures,
-        kernel=kernel,
-        confidences=confidences if kernel == "soa" else None,
+        confidences=confidences,
     )
+
+
+def _oracle(service, queries, variants, mpls, confidences, skip_failures):
+    """One ``predict_query`` per query; intervals computed on demand."""
+    return predict_batch_oracle(
+        service,
+        queries,
+        variants=variants,
+        mpls=mpls,
+        skip_failures=skip_failures,
+    )
+
+
+def _batch_payloads(serve, service, queries, variants, mpls, confidences,
+                    skip_failures=False):
+    batch = serve(service, queries, variants, mpls, confidences, skip_failures)
     payloads = [
         _query_payload(prediction, confidences) for prediction in batch
     ]
@@ -256,7 +277,8 @@ class TestBatchPlan:
 
 
 # ---------------------------------------------------------------------------
-# The differential harness: SoA bitwise == scalar over random batches.
+# The differential harness: SoA bitwise == the per-query oracle over
+# random batches.
 # ---------------------------------------------------------------------------
 
 
@@ -289,43 +311,57 @@ class TestDifferential:
         rng = np.random.default_rng(1000 + seed)
         for _ in range(20):
             queries, variants, mpls, confidences = _random_batch(rng, pool)
-            scalar, scalar_failures = _batch_payloads(
-                service, queries, variants, mpls, confidences, "scalar"
+            oracle, oracle_failures = _batch_payloads(
+                _oracle, service, queries, variants, mpls, confidences
             )
             soa, soa_failures = _batch_payloads(
-                service, queries, variants, mpls, confidences, "soa"
+                _soa, service, queries, variants, mpls, confidences
             )
-            assert soa == scalar
-            assert soa_failures == scalar_failures
+            assert soa == oracle
+            assert soa_failures == oracle_failures
 
     def test_empty_batch(self, service):
-        for kernel in BATCH_KERNELS:
-            batch = service.predict_batch(
-                [], kernel=kernel, confidences=(0.5,)
-            )
+        for serve in (_oracle, _soa):
+            batch = serve(service, [], (Variant.ALL,), (1,), (0.5,), False)
             assert batch.predictions == []
             assert batch.failures == []
 
     def test_skip_failures_differential(self, service, pool):
         queries = [pool[0], "SELEC nope", pool[1], pool[0]]
-        scalar, scalar_failures = _batch_payloads(
-            service, queries, [Variant.ALL, Variant.NO_COV], [1, 3],
-            (0.5, 0.99), "scalar", skip_failures=True,
+        oracle, oracle_failures = _batch_payloads(
+            _oracle, service, queries, [Variant.ALL, Variant.NO_COV], [1, 3],
+            (0.5, 0.99), skip_failures=True,
         )
         soa, soa_failures = _batch_payloads(
-            service, queries, [Variant.ALL, Variant.NO_COV], [1, 3],
-            (0.5, 0.99), "soa", skip_failures=True,
+            _soa, service, queries, [Variant.ALL, Variant.NO_COV], [1, 3],
+            (0.5, 0.99), skip_failures=True,
         )
-        assert soa == scalar
+        assert soa == oracle
         assert len(soa_failures) == 1
-        assert soa_failures == scalar_failures
+        assert soa_failures == oracle_failures
         assert soa_failures[0][0] == 1
 
     def test_abort_on_failure_raises_like_scalar(self, service, pool):
+        """Both raise; only the per-query loop counts the query before
+        the failure as served."""
         from repro.errors import SqlError
 
+        queries = [pool[0], "SELEC nope"]  # pool[0] is warm
+        before = service.stats.snapshot()
         with pytest.raises(SqlError):
-            service.predict_batch([pool[0], "SELEC nope"], kernel="soa")
+            service.predict_batch(queries)
+        # An aborted batch counts no query: only the prepare-cache
+        # lookup of the query before the failure moved.
+        assert service.stats.since(before) == ServiceStats(
+            prepare_cache_hits=1
+        )
+
+        before = service.stats.snapshot()
+        with pytest.raises(SqlError):
+            predict_batch_oracle(service, queries)
+        assert service.stats.since(before) == ServiceStats(
+            queries_served=1, prepare_cache_hits=1, assemblies=1
+        )
 
     def test_point_mass_variance_intervals(self, tpch_db, calibrated_units):
         """Zero-variance units + NoVar[X]: variance 0, interval (m, m)."""
@@ -339,15 +375,15 @@ class TestDifferential:
         variants = [Variant.NO_VAR_X, Variant.ALL]
         flat.predict_batch(queries, variants=variants)  # warm
         confidences = (0.5, 0.9)
-        scalar, _ = _batch_payloads(
-            flat, queries, variants, [1, 2], confidences, "scalar"
+        oracle, _ = _batch_payloads(
+            _oracle, flat, queries, variants, [1, 2], confidences
         )
         soa, _ = _batch_payloads(
-            flat, queries, variants, [1, 2], confidences, "soa"
+            _soa, flat, queries, variants, [1, 2], confidences
         )
-        assert soa == scalar
+        assert soa == oracle
         batch = flat.predict_batch(
-            queries, variants=variants, kernel="soa", confidences=confidences
+            queries, variants=variants, confidences=confidences
         )
         point_masses = 0
         for prediction in batch:
@@ -358,22 +394,10 @@ class TestDifferential:
                 assert result.confidence_interval(0.9) == (clamped, clamped)
         assert point_masses == len(queries)
 
-    def test_unknown_kernel_rejected(self, service, pool):
-        with pytest.raises(PredictionError, match="unknown batch kernel"):
-            service.predict_batch([pool[0]], kernel="simd")
-        with pytest.raises(PredictionError, match="unknown batch kernel"):
-            PredictionService(
-                service._database,
-                service._preparer.units,
-                batch_kernel="simd",
-            )
-
     def test_bad_confidence_rejected(self, service, pool):
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError, match="confidence"):
-                service.predict_batch(
-                    [pool[0]], kernel="soa", confidences=(bad,)
-                )
+                service.predict_batch([pool[0]], confidences=(bad,))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +412,7 @@ class TestBatchProperties:
 
     def _payloads(self, service, queries):
         return _batch_payloads(
-            service, queries, self.VARIANTS, self.MPLS, self.CONFIDENCES, "soa"
+            _soa, service, queries, self.VARIANTS, self.MPLS, self.CONFIDENCES
         )[0]
 
     def test_permutation_invariance(self, service, pool):
@@ -406,7 +430,7 @@ class TestBatchProperties:
         assert whole == singles
 
     def test_cache_hit_equals_cold_miss(self, tpch_db, calibrated_units):
-        """Two identically-built services: cold scalar == warm SoA."""
+        """Two identically-built services: cold oracle == warm SoA."""
         queries = [EDGE_SQLS[0], EDGE_SQLS[5], EDGE_SQLS[0]]
 
         def fresh():
@@ -415,14 +439,14 @@ class TestBatchProperties:
             )
 
         cold, _ = _batch_payloads(
-            fresh(), queries, self.VARIANTS, self.MPLS, self.CONFIDENCES,
-            "scalar",
+            _oracle, fresh(), queries, self.VARIANTS, self.MPLS,
+            self.CONFIDENCES,
         )
         warm_service = fresh()
         warm_service.predict_batch(queries)  # populate the prepared cache
         warm, _ = _batch_payloads(
-            warm_service, queries, self.VARIANTS, self.MPLS, self.CONFIDENCES,
-            "soa",
+            _soa, warm_service, queries, self.VARIANTS, self.MPLS,
+            self.CONFIDENCES,
         )
         # Cache flags legitimately differ between a cold and a warm run;
         # every served number must not.
@@ -439,17 +463,17 @@ class TestBatchProperties:
     ):
         queries = [EDGE_SQLS[0], EDGE_SQLS[1], EDGE_SQLS[0]]
 
-        def deltas(kernel):
+        def deltas(serve):
             svc = PredictionService(
                 tpch_db, calibrated_units, sampling_ratio=0.05, seed=3
             )
             svc.predict_batch(queries)  # identical warm state for both
-            batch = svc.predict_batch(
-                queries, variants=self.VARIANTS, mpls=self.MPLS, kernel=kernel
+            batch = serve(
+                svc, queries, self.VARIANTS, self.MPLS, (), False
             )
             return batch.stats
 
-        assert deltas("soa") == deltas("scalar")
+        assert deltas(_soa) == deltas(_oracle)
 
 
 # ---------------------------------------------------------------------------

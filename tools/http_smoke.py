@@ -10,7 +10,11 @@ Stage 1 — single worker (the pre-fork-identical path):
   ``schema_version`` this checkout speaks;
 * ``POST /v1/predict`` — one TPC-H query must come back with a positive
   mean, a declared ``schema_version``, and interval bounds;
-* a malformed statement must be a structured 400 (``sql-parse``).
+* a malformed statement must be a structured 400 (``sql-parse``);
+* ``POST /v1/predict-batch`` with a full fan-out and one malformed
+  query must fail only that query, with ``sql-parse`` at its index,
+  and each good query's ``results`` must equal the ``/v1/predict``
+  answer for the same SQL and fan-out.
 
 Stage 2 — cross-version interop (the v2 compatibility contract):
 
@@ -60,6 +64,17 @@ from repro.api.client import ApiError, HttpClient  # noqa: E402
 from repro.api.wire import SCHEMA_VERSION, Observation  # noqa: E402
 
 SQL = "SELECT COUNT(*) FROM orders WHERE o_totalprice > 100000"
+JOIN_SQL = (
+    "SELECT COUNT(*) FROM orders, lineitem "
+    "WHERE o_orderkey = l_orderkey AND o_totalprice > 150000"
+)
+#: Every predictor variant, several multiprogramming levels and
+#: confidence levels: the widest fan-out a batch can ask for.
+FULL_FANOUT = {
+    "variants": ["all", "novar[c]", "novar[x]", "nocov"],
+    "mpls": [1, 2, 4],
+    "confidences": [0.5, 0.9, 0.99],
+}
 _LISTENING = re.compile(r"listening on (http://[0-9.]+:\d+)")
 
 
@@ -156,9 +171,26 @@ def _single_worker_stage(scale: float, timeout: float) -> None:
         else:
             raise AssertionError("malformed SQL did not produce a 400")
 
+        batch = client.request_json(
+            "POST",
+            "/v1/predict-batch",
+            {"queries": [SQL, "SELEC nope", JOIN_SQL], **FULL_FANOUT},
+        )
+        (failure,) = batch["failures"]
+        assert failure["index"] == 1, failure
+        assert failure["code"] == "sql-parse", failure
+        responses = batch["responses"]
+        assert [r["sql"] for r in responses] == [SQL, JOIN_SQL], batch
+        for response in responses:
+            single = client.request_json(
+                "POST", "/v1/predict", {"sql": response["sql"], **FULL_FANOUT}
+            )
+            assert response["results"] == single["results"], (response, single)
+
         print(
             f"http smoke ok: {url} schema v{health['schema_version']}, "
-            f"mean {result['mean']:.4f}s"
+            f"mean {result['mean']:.4f}s, batch of {len(responses)} "
+            f"equal to single predicts"
         )
     finally:
         _stop(proc)
