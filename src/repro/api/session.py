@@ -15,15 +15,21 @@ below shares mutable caches), which is what lets the HTTP front-end
 (:mod:`repro.api.http`) drive one session from a threaded server.
 ``PredictionService`` remains fully usable directly; it is the internal
 engine, the session is the front door.
+
+A batch is served once into the engine's columns
+(:meth:`~repro.service.PredictionService.predict_batch_columns`) under
+one lock hold, read against one feedback snapshot, then rendered either as a
+typed :class:`~repro.api.wire.BatchResponse` (:meth:`Session.predict_batch`)
+or as its wire JSON text (:meth:`Session.predict_batch_json`) by
+:mod:`repro.api.render`.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from typing import Iterable, Sequence
 
-from scipy.special import erfinv
+import numpy as np
 
 from ..calibration import Calibrator
 from ..calibration.calibrator import CalibratedUnits
@@ -32,17 +38,20 @@ from ..datagen import TpchConfig, generate_tpch
 from ..errors import SessionError, WireError
 from ..feedback import DEFAULT_TENANT, FeedbackRecalibrator
 from ..hardware import PROFILES, HardwareSimulator
-from ..service.service import (
-    BatchPrediction,
-    PredictionService,
-    QueryPrediction,
-)
+from ..service.service import BatchColumns, PredictionService, QueryPrediction
 from ..storage import Database
 from .config import SessionConfig
+from .render import (
+    ServedLevels,
+    batch_json,
+    batch_response,
+    nested_levels,
+    static_scale,
+)
 from .wire import (
+    SCHEMA_VERSION,
     BatchRequest,
     BatchResponse,
-    FeedbackApplied,
     IntervalPayload,
     Observation,
     ObserveResponse,
@@ -51,9 +60,10 @@ from .wire import (
     ResultPayload,
     StatsSnapshot,
     _validate_fanout,
+    check_emit_version,
 )
 
-__all__ = ["Session"]
+__all__ = ["Session", "nested_levels", "static_scale"]
 
 
 class Session:
@@ -259,7 +269,8 @@ class Session:
                 request.sql, variants=variants, mpls=mpls
             )
         tenant = request.tenant if request.tenant is not None else DEFAULT_TENANT
-        return self._response(prediction, request.sql, confidences, tenant)
+        levels = ServedLevels.snapshot(self._feedback, tenant, confidences)
+        return self._response(prediction, request.sql, levels)
 
     def predict_batch(
         self, batch: BatchRequest | Sequence[str]
@@ -276,36 +287,47 @@ class Session:
         pass; each response is bit for bit what :meth:`predict` serves
         for the same SQL and fan-out.
         """
+        return batch_response(*self._serve_batch(batch))
+
+    def predict_batch_json(
+        self, batch: BatchRequest | Sequence[str], version: int = SCHEMA_VERSION
+    ) -> str:
+        """Serve a batch as its wire JSON text at schema ``version``.
+
+        Byte-identical to ``dumps(self.predict_batch(batch)
+        .to_dict(version))``, rendered straight from the kernels' arrays
+        with no per-cell object (:func:`repro.api.render.batch_json`);
+        the ``/v1/predict-batch`` endpoint writes it as is.
+        """
+        check_emit_version(version)
+        return batch_json(*self._serve_batch(batch), version)
+
+    def _serve_batch(
+        self, batch: BatchRequest | Sequence[str]
+    ) -> tuple[BatchColumns, ServedLevels]:
+        """Serve ``batch`` into columns and read its one feedback snapshot.
+
+        The engine runs under one hold of the session lock; the tenant's
+        calibration state is then read once for the whole batch, so
+        every response is served under the same state, whatever
+        ``observe`` calls land meanwhile.
+        """
         if not isinstance(batch, BatchRequest):
             batch = BatchRequest(queries=tuple(batch))
         variants, mpls, confidences = self._fanout(
             batch.variants, batch.mpls, batch.confidences
         )
+        tenant = batch.tenant if batch.tenant is not None else DEFAULT_TENANT
         with self._lock:
             self._ensure_open()
-            served: BatchPrediction = self._service.predict_batch(
+            columns = self._service.predict_batch_columns(
                 batch.queries,
                 variants=variants,
                 mpls=mpls,
                 skip_failures=batch.skip_failures,
                 confidences=confidences,
             )
-        tenant = batch.tenant if batch.tenant is not None else DEFAULT_TENANT
-        responses = []
-        successes = iter(served.predictions)
-        failed_indexes = {failure.index for failure in served.failures}
-        for index, sql in enumerate(batch.queries):
-            if index in failed_indexes:
-                continue
-            responses.append(
-                self._response(next(successes), sql, confidences, tenant)
-            )
-        return BatchResponse(
-            responses=tuple(responses),
-            failures=tuple(served.failures),
-            elapsed_seconds=served.elapsed_seconds,
-            stats=served.stats,
-        )
+        return columns, ServedLevels.snapshot(self._feedback, tenant, confidences)
 
     def estimate(self, sql: str) -> tuple[float, float]:
         """Predicted ``(mean, std)`` seconds for ``sql`` — the scheduler's ticket.
@@ -393,99 +415,42 @@ class Session:
         return resolved, mpls, confidences
 
     def _response(
-        self,
-        prediction: QueryPrediction,
-        sql: str,
-        confidences: tuple[float, ...],
-        tenant: str,
+        self, prediction: QueryPrediction, sql: str, levels: ServedLevels
     ) -> PredictResponse:
-        # The conformal correction: while the tenant's feedback window
-        # is inactive this is None and the static-profile path below is
-        # untouched — observe-free serving stays bitwise-identical to
-        # the pre-feedback stack.
-        correction = self._feedback.scales_for(tenant, confidences)
-        levels = None
-        if correction is not None and any(
-            scale is not None for scale in correction[1]
-        ):
-            levels = nested_levels(confidences, correction[1])
-        payloads = []
-        for (variant, mpl), result in prediction.results.items():
-            intervals = []
-            for index, confidence in enumerate(confidences):
-                if levels is None:
-                    low, high = result.confidence_interval(confidence)
-                else:
-                    scale, static = levels[index]
-                    if static is not None:
-                        low, high = result.confidence_interval(static)
-                    else:
-                        # Same clamping contract as confidence_interval():
-                        # predicted times are nonnegative.
-                        low = max(result.mean - scale * result.std, 0.0)
-                        high = max(result.mean + scale * result.std, 0.0)
-                intervals.append(IntervalPayload(confidence, low, high))
-            payloads.append(
+        confidences = levels.confidences
+        cells = list(prediction.results.items())
+        bounds = [
+            [result.confidence_interval(c) for c in confidences]
+            for _, result in cells
+        ]
+        # While the tenant's feedback window is inactive the static
+        # intervals are served untouched — observe-free serving stays
+        # bitwise-identical to the pre-feedback stack. Otherwise the one
+        # interval rule runs over this query's cells.
+        if levels.recipes is not None:
+            bounds = levels.bounds(
+                np.array([result.mean for _, result in cells]),
+                np.array([result.std for _, result in cells]),
+                np.array(bounds, dtype=np.float64).reshape(
+                    len(cells), len(confidences), 2
+                ),
+            ).tolist()
+        return PredictResponse(
+            sql=sql,
+            results=tuple(
                 ResultPayload(
                     variant=variant.wire_name,
                     mpl=mpl,
                     mean=result.mean,
                     variance=result.distribution.variance,
                     std=result.std,
-                    intervals=tuple(intervals),
+                    intervals=tuple(
+                        IntervalPayload(confidence, low, high)
+                        for confidence, (low, high) in zip(confidences, served)
+                    ),
                 )
-            )
-        feedback = None
-        if levels is not None and payloads:
-            # None marks a level served its static interval unchanged.
-            feedback = FeedbackApplied(
-                tenant=tenant,
-                observations=correction[0],
-                scales=tuple(
-                    (confidence, None if static is not None else scale)
-                    for confidence, (scale, static) in zip(confidences, levels)
-                ),
-            )
-        return PredictResponse(
-            sql=sql,
-            results=tuple(payloads),
+                for ((variant, mpl), result), served in zip(cells, bounds)
+            ),
             prepare_was_cached=prediction.prepare_was_cached,
-            feedback=feedback,
+            feedback=levels.feedback,
         )
-
-
-def static_scale(confidence: float) -> float:
-    """The static profile's scale: the normal quantile ``sqrt(2)·erfinv(c)``."""
-    return math.sqrt(2) * float(erfinv(confidence))
-
-
-def nested_levels(
-    confidences: Sequence[float], scales: Sequence[float | None]
-) -> list[tuple[float, float | None]]:
-    """The served ``(scale, static_confidence)`` of each requested level.
-
-    Walked in ascending confidence, each level is served the larger of
-    its own scale — the conformal ``scales[i]``, else
-    :func:`static_scale` — and the scale served to the level below, so
-    a wider confidence never gets a narrower interval. On a tie the
-    level below's recipe is reused, so equal scales give equal bits.
-    ``static_confidence`` is the confidence whose static interval
-    (``result.confidence_interval``) is served bit for bit, or None
-    when the interval is ``mean ± scale·std``. With a conformal window's
-    scales it is always the level's own confidence: a window that
-    certifies a confidence certifies every lower one, and its quantiles
-    rise with the confidence, so a static level never sits below a
-    conformal one it could lift.
-    """
-    levels: list = [None] * len(confidences)
-    below = None
-    for index in sorted(range(len(confidences)), key=confidences.__getitem__):
-        own = scales[index]
-        if own is None:
-            level = (static_scale(confidences[index]), confidences[index])
-        else:
-            level = (own, None)
-        if below is not None and not level[0] > below[0]:
-            level = below
-        levels[index] = below = level
-    return levels

@@ -16,16 +16,20 @@ from .kernels import (
     segment_sum,
 )
 from .service import (
+    BatchColumns,
     BatchPrediction,
     PredictionService,
     QueryFailure,
     QueryPrediction,
+    ServedQuery,
     ServiceReport,
     ServiceStats,
+    materialize,
 )
 
 __all__ = [
     "BatchAssembly",
+    "BatchColumns",
     "BatchPlan",
     "BatchPrediction",
     "CacheStats",
@@ -33,11 +37,13 @@ __all__ = [
     "PreparedCache",
     "QueryFailure",
     "QueryPrediction",
+    "ServedQuery",
     "ServiceReport",
     "ServiceStats",
     "assemble_batch",
     "batch_intervals",
     "build_batch_plan",
+    "materialize",
     "plan_signature",
     "plan_signature_hash",
     "segment_sum",

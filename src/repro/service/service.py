@@ -38,7 +38,9 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from ..calibration.calibrator import CalibratedUnits
 from ..caching import ByteBudgetLRU, CacheStats
@@ -59,15 +61,24 @@ from ..sampling.engine import DEFAULT_ENGINE_BUDGET_BYTES, SamplingEngine
 from ..sampling.sample_db import SampleDatabase
 from ..storage import Database
 from .cache import PreparedCache, plan_signature
-from .kernels import assemble_batch, batch_intervals, build_batch_plan
+from .kernels import (
+    BatchAssembly,
+    BatchPlan,
+    assemble_batch,
+    batch_intervals,
+    build_batch_plan,
+)
 
 __all__ = [
+    "BatchColumns",
     "BatchPrediction",
     "PredictionService",
     "QueryFailure",
     "QueryPrediction",
+    "ServedQuery",
     "ServiceReport",
     "ServiceStats",
+    "materialize",
 ]
 
 
@@ -233,6 +244,39 @@ class BatchPrediction:
     @property
     def queries_per_second(self) -> float:
         return len(self.predictions) / max(self.elapsed_seconds, 1e-12)
+
+
+class ServedQuery(NamedTuple):
+    """One served query of a batch and the plan slot that answers it."""
+
+    sql: str | None
+    planned: PlannedQuery
+    slot: int
+    prepare_was_cached: bool
+
+
+@dataclass
+class BatchColumns:
+    """One served batch as the kernels left it: arrays, no per-cell object.
+
+    ``assembly`` holds the Algorithm-3 outputs of every distinct plan
+    (``[slot, variant, mpl]``) and ``intervals`` the clamped static
+    bounds of each requested confidence (``[slot, variant, mpl, level,
+    (low, high)]``). ``served`` lists the answered queries in submission
+    order, each mapped to its plan slot — duplicates share a slot.
+    ``failures``, ``stats`` (this batch's counter delta) and
+    ``elapsed_seconds`` are final: rendering the columns, as objects
+    (:func:`materialize`) or as wire text, serves nothing more.
+    """
+
+    confidences: tuple[float, ...]
+    plan: BatchPlan
+    assembly: BatchAssembly
+    intervals: np.ndarray
+    served: list[ServedQuery]
+    failures: list[QueryFailure]
+    stats: ServiceStats
+    elapsed_seconds: float
 
 
 class PredictionService:
@@ -426,19 +470,50 @@ class PredictionService:
     ) -> BatchPrediction:
         """A whole batch, fanned out like :meth:`predict_query` per query.
 
+        Serves the batch into columns (:meth:`predict_batch_columns`,
+        which documents the semantics) and materializes them as one
+        :class:`QueryPrediction` per served query, with a
+        :class:`~repro.core.predictor.PredictionResult` per (variant,
+        mpl) whose ``confidences`` intervals are the kernels' bounds.
+        Every served number is bit for bit what :meth:`predict_query`
+        serves for the same query. Intervals at levels outside
+        ``confidences`` are computed on demand, as for a single query.
+        """
+        started = time.perf_counter()
+        columns = self.predict_batch_columns(
+            queries,
+            variants=variants,
+            mpls=mpls,
+            skip_failures=skip_failures,
+            confidences=confidences,
+        )
+        return BatchPrediction(
+            predictions=materialize(columns),
+            elapsed_seconds=time.perf_counter() - started,
+            stats=columns.stats,
+            failures=columns.failures,
+        )
+
+    def predict_batch_columns(
+        self,
+        queries: Iterable[str | PlannedQuery],
+        variants: Sequence[Variant] = (Variant.ALL,),
+        mpls: Sequence[int] = (1,),
+        skip_failures: bool = False,
+        confidences: Sequence[float] | None = None,
+    ) -> BatchColumns:
+        """Serve a batch into the kernels' arrays, building no per-cell object.
+
         Stage 1 plans and prepares each query (memoized plan, cached
         prepare). The remaining stages run the whole batch through the
         cross-query array kernels: distinct plans are interned and
         stacked (:func:`~repro.service.kernels.build_batch_plan`),
         assembled in shared arrays
-        (:func:`~repro.service.kernels.assemble_batch`), the requested
-        ``confidences`` bounded in the same pass
-        (:func:`~repro.service.kernels.batch_intervals`), and the
-        results gathered back per query. Every served number is bit for
-        bit what :meth:`predict_query` serves for the same query, and a
-        completed batch leaves the same counter deltas as calling it
-        once per query. Intervals at levels outside ``confidences`` are
-        computed on demand, as for a single query.
+        (:func:`~repro.service.kernels.assemble_batch`), and the
+        requested ``confidences`` bounded in the same pass
+        (:func:`~repro.service.kernels.batch_intervals`). A completed
+        batch leaves the same counter deltas as calling
+        :meth:`predict_query` once per query.
 
         With ``skip_failures=True``, a query that cannot be planned or
         predicted (malformed SQL, unsupported plan shape, a predicate
@@ -462,6 +537,7 @@ class PredictionService:
         entries: list[tuple[int, str | None, PlannedQuery, PreparedPrediction, bool]] = []
         failures: list[QueryFailure] = []
         for index, query in enumerate(queries):
+            sql = query if isinstance(query, str) else None
             try:
                 if not variants or not mpls:
                     raise PredictionError("need at least one variant and one mpl")
@@ -471,24 +547,9 @@ class PredictionService:
                 if not skip_failures:
                     raise
                 self._count(queries_failed=1)
-                failures.append(
-                    QueryFailure(
-                        index=index,
-                        sql=query if isinstance(query, str) else None,
-                        error=f"{type(error).__name__}: {error}",
-                        code=error_code(error),
-                    )
-                )
+                failures.append(_failure(index, sql, error))
                 continue
-            entries.append(
-                (
-                    index,
-                    query if isinstance(query, str) else None,
-                    planned,
-                    prepared,
-                    was_cached,
-                )
-            )
+            entries.append((index, sql, planned, prepared, was_cached))
 
         batch_plan = build_batch_plan(
             [(planned, prepared) for _, _, planned, prepared, _ in entries]
@@ -500,33 +561,71 @@ class PredictionService:
             mpls,
             isolate=skip_failures,
         )
-        intervals = (
-            batch_intervals(assembly, confidences) if confidences else None
+        intervals = batch_intervals(assembly, confidences)
+
+        served: list[ServedQuery] = []
+        for (index, sql, planned, _, was_cached), slot in zip(
+            entries, batch_plan.query_slots.tolist()
+        ):
+            error = assembly.plan_errors.get(slot)
+            if error is not None:
+                self._count(queries_failed=1)
+                failures.append(_failure(index, sql, error))
+                continue
+            served.append(ServedQuery(sql, planned, slot, was_cached))
+        if served:
+            self._count(
+                assemblies=len(variants) * len(mpls) * len(served),
+                queries_served=len(served),
+            )
+        failures.sort(key=lambda failure: failure.index)
+        return BatchColumns(
+            confidences=confidences,
+            plan=batch_plan,
+            assembly=assembly,
+            intervals=intervals,
+            served=served,
+            failures=failures,
+            stats=self._snapshot_stats().since(before),
+            elapsed_seconds=time.perf_counter() - started,
         )
 
-        # Materialize one result set per distinct plan; duplicate
-        # queries share the (immutable) PredictionResult objects.
-        # tolist() converts whole arrays to python floats in one pass;
-        # transposing to [slot][mpl][variant] first lets the loops
-        # below walk the nested lists in iteration order.
-        mean_list = assembly.mean.transpose(0, 2, 1).tolist()
-        variance_list = assembly.variance.transpose(0, 2, 1).tolist()
-        exact_list = assembly.exact_part.transpose(0, 2, 1).tolist()
-        bounded_list = assembly.bounded_part.transpose(0, 2, 1).tolist()
-        unit_list = assembly.unit_part.transpose(0, 2, 1).tolist()
-        per_unit_list = assembly.per_unit_mean.transpose(0, 2, 1, 3).tolist()
-        intervals_list = (
-            intervals.transpose(0, 2, 1, 3, 4).tolist()
-            if intervals is not None
-            else None
-        )
-        slot_results: list[dict[tuple[Variant, int], PredictionResult] | None] = []
-        for slot in range(len(batch_plan)):
-            if slot in assembly.plan_errors:
-                slot_results.append(None)
-                continue
-            prepared = batch_plan.prepared[slot]
-            results: dict[tuple[Variant, int], PredictionResult] = {}
+
+def _failure(index: int, sql: str | None, error: BaseException) -> QueryFailure:
+    return QueryFailure(
+        index=index,
+        sql=sql,
+        error=f"{type(error).__name__}: {error}",
+        code=error_code(error),
+    )
+
+
+def materialize(columns: BatchColumns) -> list[QueryPrediction]:
+    """One :class:`QueryPrediction` per served query of ``columns``.
+
+    Each distinct plan's results are built once; duplicate queries share
+    the (immutable) :class:`~repro.core.predictor.PredictionResult`
+    objects, and every requested interval is the kernels' bound.
+    """
+    assembly = columns.assembly
+    variants, mpls, confidences = assembly.variants, assembly.mpls, columns.confidences
+    # tolist() converts whole arrays to python floats in one pass;
+    # transposing to [slot][mpl][variant] first lets the loops below
+    # walk the nested lists in iteration order.
+    mean_list = assembly.mean.transpose(0, 2, 1).tolist()
+    variance_list = assembly.variance.transpose(0, 2, 1).tolist()
+    exact_list = assembly.exact_part.transpose(0, 2, 1).tolist()
+    bounded_list = assembly.bounded_part.transpose(0, 2, 1).tolist()
+    unit_list = assembly.unit_part.transpose(0, 2, 1).tolist()
+    per_unit_list = assembly.per_unit_mean.transpose(0, 2, 1, 3).tolist()
+    intervals_list = columns.intervals.transpose(0, 2, 1, 3, 4).tolist()
+    slot_results: dict[int, dict[tuple[Variant, int], PredictionResult]] = {}
+    predictions: list[QueryPrediction] = []
+    for sql, planned, slot, was_cached in columns.served:
+        results = slot_results.get(slot)
+        if results is None:
+            prepared = columns.plan.prepared[slot]
+            results = slot_results[slot] = {}
             # Same (mpl outer, variant inner) order as predict_query:
             # response payload order follows dict insertion order.
             for li, mpl in enumerate(mpls):
@@ -536,9 +635,7 @@ class PredictionService:
                 bounded_row = bounded_list[slot][li]
                 unit_row = unit_list[slot][li]
                 per_unit_row = per_unit_list[slot][li]
-                interval_row = (
-                    intervals_list[slot][li] if intervals_list is not None else None
-                )
+                interval_row = intervals_list[slot][li]
                 for vi, variant in enumerate(variants):
                     mean = mean_row[vi]
                     variance = variance_row[vi]
@@ -552,55 +649,21 @@ class PredictionService:
                             zip(COST_UNIT_NAMES, per_unit_row[vi])
                         ),
                     )
-                    cached_intervals = None
-                    if interval_row is not None:
-                        cached_intervals = dict(
-                            zip(confidences, map(tuple, interval_row[vi]))
-                        )
                     results[(variant, mpl)] = PredictionResult(
                         distribution=NormalDistribution(mean, variance),
                         breakdown=breakdown,
                         prepared=prepared,
                         variant=variant,
-                        _intervals=cached_intervals,
+                        _intervals=dict(
+                            zip(confidences, map(tuple, interval_row[vi]))
+                        ),
                     )
-            slot_results.append(results)
-
-        predictions: list[QueryPrediction] = []
-        for position, (index, sql, planned, prepared, was_cached) in enumerate(
-            entries
-        ):
-            slot = int(batch_plan.query_slots[position])
-            results = slot_results[slot]
-            if results is None:
-                error = assembly.plan_errors[slot]
-                self._count(queries_failed=1)
-                failures.append(
-                    QueryFailure(
-                        index=index,
-                        sql=sql,
-                        error=f"{type(error).__name__}: {error}",
-                        code=error_code(error),
-                    )
-                )
-                continue
-            predictions.append(
-                QueryPrediction(
-                    sql=sql,
-                    planned=planned,
-                    results=dict(results),
-                    prepare_was_cached=was_cached,
-                )
+        predictions.append(
+            QueryPrediction(
+                sql=sql,
+                planned=planned,
+                results=dict(results),
+                prepare_was_cached=was_cached,
             )
-        if predictions:
-            self._count(
-                assemblies=len(variants) * len(mpls) * len(predictions),
-                queries_served=len(predictions),
-            )
-        failures.sort(key=lambda failure: failure.index)
-        return BatchPrediction(
-            predictions=predictions,
-            elapsed_seconds=time.perf_counter() - started,
-            stats=self._snapshot_stats().since(before),
-            failures=failures,
         )
+    return predictions

@@ -145,10 +145,15 @@ class SessionApp(WireApp):
             version = check_schema_version(record)
             response = self.session.predict(PredictRequest.from_dict(record))
         elif bare == "/v1/predict-batch":
+            # Rendered straight from the batch kernels' arrays, byte for
+            # byte the typed BatchResponse's dumps(to_dict(version)).
             record = read_body()
             version = check_schema_version(record)
-            response = self.session.predict_batch(
-                BatchRequest.from_dict(record)
+            return WireResponse(
+                200,
+                body=self.session.predict_batch_json(
+                    BatchRequest.from_dict(record), version
+                ),
             )
         elif bare == "/v1/observe":
             record = read_body()

@@ -186,9 +186,10 @@ class RoutedApp(WireApp):
     def _forward(self, owner: int, path: str, record: dict):
         """Relay the request to ``owner``'s private transport.
 
-        Returns the relayed :class:`WireResponse`, or None when the
-        peer is unreachable or answers unparseably — the caller then
-        serves locally.
+        Returns the relayed :class:`WireResponse` — a success body byte
+        for byte as the owner wrote it, an error body re-parsed — or
+        None when the peer is unreachable or answers an error
+        unparseably; the caller then serves locally.
         """
         url = self.peers.get(owner)
         if url is None:
@@ -205,7 +206,7 @@ class RoutedApp(WireApp):
         )
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as raw:
-                return WireResponse(raw.status, loads(raw.read()))
+                return WireResponse(raw.status, body=raw.read())
         except urllib.error.HTTPError as error:
             try:
                 relayed = loads(error.read())

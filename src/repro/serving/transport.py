@@ -7,7 +7,9 @@ to a wire app (:class:`repro.serving.app.WireApp`), and writes the
 :class:`WireResponse` the app returns. Everything an app raises is
 mapped onto the error taxonomy by :func:`status_for_error` and
 serialized with the NaN-guarded :func:`repro.api.wire.dumps` — the
-transport never answers with a bare traceback.
+transport never answers with a bare traceback. An answer an app
+already rendered to JSON text (``WireResponse.body``) is written as
+is.
 
 Two ways to own a port:
 
@@ -27,11 +29,10 @@ monolithic server.
 from __future__ import annotations
 
 import socket
-from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..api.wire import SCHEMA_VERSION, dumps, error_body, loads
-from ..errors import ReproError, SqlError, WireError
+from ..errors import ReproError, ServingError, SqlError, WireError
 
 __all__ = [
     "HttpTransport",
@@ -60,21 +61,45 @@ def reuseport_available() -> bool:
     return hasattr(socket, "SO_REUSEPORT")
 
 
-@dataclass
 class WireResponse:
     """One JSON answer, ready for any transport to write.
 
-    ``retry_after`` (seconds) becomes a ``Retry-After`` header —
-    the admission layer's client backoff hint on 503. ``close`` marks
-    responses after which the connection must not be reused (error
-    paths may leave declared body bytes unread; under HTTP/1.1
-    keep-alive those would desync the connection).
+    An answer is either a wire ``record`` — serialized by the transport
+    with the NaN-guarded :func:`~repro.api.wire.dumps` — or a
+    pre-rendered ``body`` of JSON text, written verbatim: the batch
+    endpoint's text rendered from the kernels' arrays, or a routed
+    peer's reply relayed byte for byte. ``record`` always reads as the
+    wire dict; for a body it is parsed on first access, so record-level
+    callers see no difference. ``retry_after`` (seconds) becomes a
+    ``Retry-After`` header — the admission layer's client backoff hint
+    on 503. ``close`` marks responses after which the connection must
+    not be reused (error paths may leave declared body bytes unread;
+    under HTTP/1.1 keep-alive those would desync the connection).
     """
 
-    status: int
-    record: dict
-    retry_after: int | None = None
-    close: bool = False
+    def __init__(
+        self,
+        status: int,
+        record: dict | None = None,
+        retry_after: int | None = None,
+        close: bool = False,
+        *,
+        body: str | bytes | None = None,
+    ):
+        if (record is None) == (body is None):
+            raise ServingError("a wire response has exactly one of record and body")
+        self.status = status
+        self._record = record
+        self.body = body.encode("utf-8") if isinstance(body, str) else body
+        self.retry_after = retry_after
+        self.close = close
+
+    @property
+    def record(self) -> dict:
+        """The answer as a wire dict (a body is decoded once, on demand)."""
+        if self._record is None:
+            self._record = loads(self.body)
+        return self._record
 
 
 def error_response(error: BaseException) -> WireResponse:
@@ -142,7 +167,9 @@ class ServingHandler(BaseHTTPRequestHandler):
     def _send(self, response: WireResponse) -> None:
         if response.close:
             self.close_connection = True
-        body = dumps(response.record).encode("utf-8")
+        body = response.body
+        if body is None:
+            body = dumps(response.record).encode("utf-8")
         self.send_response(response.status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -229,7 +256,14 @@ class HttpTransport(ThreadingHTTPServer):
         The transport neither binds nor listens; it only ``accept()``\\ s.
         Several forked workers adopting the same socket share its kernel
         accept queue — the fallback when ``SO_REUSEPORT`` is missing.
+
+        The socket is switched to non-blocking: every worker's serve
+        loop wakes on a new connection, and only one wins the accept.
+        A blocking ``accept()`` would park each loser until some later
+        connection arrived, deaf to ``shutdown()``; a non-blocking one
+        fails fast and the loser goes back to polling.
         """
+        listening_socket.setblocking(False)
         transport = cls(
             app,
             listening_socket.getsockname()[:2],

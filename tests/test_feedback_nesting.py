@@ -26,7 +26,7 @@ from repro.api import (
     SessionConfig,
 )
 from repro.api.session import nested_levels, static_scale
-from repro.api.wire import dumps
+from repro.api.wire import dumps, loads
 
 SQLS = (
     "SELECT COUNT(*) FROM orders WHERE o_totalprice > 100000",
@@ -310,4 +310,69 @@ class TestBatchesUnderFeedback:
                 assert dumps(response.to_dict(version)) == dumps(
                     single.to_dict(version)
                 )
+        session.close()
+
+    def test_one_feedback_snapshot_per_batch(
+        self, tpch_db, calibrated_units, monkeypatch
+    ):
+        """An observe landing mid-batch does not split the batch's state.
+
+        The recalibrator is read once per batch: an observation injected
+        right after that read moves the tenant's window, yet every
+        response still carries the annotation and the intervals of the
+        state before it, in the typed answer and the wire text alike.
+        """
+        session = Session.from_components(
+            tpch_db,
+            calibrated_units,
+            SessionConfig(
+                sampling_ratio=0.05, sampling_seed=3,
+                feedback_window=64, feedback_min_observations=8,
+            ),
+        )
+        tenant = "mid-batch"
+        base = session.predict(SQLS[0]).results[0]
+        for _ in range(12):
+            session.observe(Observation(
+                sql=SQLS[0],
+                actual_seconds=base.mean + 3.0 * base.std,
+                tenant=tenant,
+                predicted_mean=base.mean,
+                predicted_std=base.std,
+            ))
+        recalibrator = session._feedback
+        read = recalibrator.scales_for
+        reads = []
+
+        def read_then_observe(name, confidences):
+            answer = read(name, confidences)
+            reads.append(answer)
+            recalibrator.observe(
+                name, base.mean, base.std, base.mean + 40.0 * base.std
+            )
+            return answer
+
+        monkeypatch.setattr(recalibrator, "scales_for", read_then_observe)
+        request = BatchRequest(
+            queries=(SQLS[0], SQLS[1], SQLS[0], SQLS[0]),
+            tenant=tenant,
+            confidences=(0.5, 0.9, 0.99),
+        )
+        batch = session.predict_batch(request)
+        assert len(reads) == 1
+        (feedback,) = {response.feedback for response in batch}
+        assert feedback is not None and feedback.observations == 12
+        firsts = [r for r in batch if r.sql == SQLS[0]]
+        assert len(firsts) == 3
+        assert all(r.results == firsts[0].results for r in firsts)
+
+        record = loads(session.predict_batch_json(request))
+        assert len(reads) == 2
+        (observations,) = {
+            response["feedback"]["observations"]
+            for response in record["responses"]
+        }
+        assert observations == 13
+        served = [r["results"] for r in record["responses"] if r["sql"] == SQLS[0]]
+        assert served[0] == served[1] == served[2]
         session.close()

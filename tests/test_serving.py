@@ -3,31 +3,40 @@
 Covers the layers in isolation: admission policies and their
 ``Retry-After`` derivation, consistent-hash routing determinism,
 cross-worker stats aggregation (sums, hit-rate recombination,
-None-on-zero-traffic), the SO_REUSEPORT-unavailable fallback, and the
-client side of the ``Retry-After`` contract. The multi-process
-integration paths live in ``test_serving_pool.py``.
+None-on-zero-traffic), the SO_REUSEPORT-unavailable fallback, a shared
+listening socket's losing accept, the router's byte-for-byte relay of a
+forwarded answer, and the client side of the ``Retry-After`` contract.
+The multi-process integration paths live in ``test_serving_pool.py``.
 """
 
 import json
 import random
+import select
+import socket
+import threading
 import warnings
 import zlib
 
+import numpy as np
 import pytest
 
+from repro.api import Session, SessionConfig
 from repro.api.client import RETRY_AFTER_CAP_SECONDS, ApiError, HttpClient
 from repro.api.config import ClientConfig
 from repro.api.wire import (
     SCHEMA_VERSION,
     AdmissionStats,
+    BatchRequest,
     StatsSnapshot,
     admission_stats_to_dict,
     dumps,
     feedback_stats_to_dict,
+    loads,
     service_report_from_dict,
 )
 from repro.errors import ServingError, SessionError, WireError, error_code
 from repro.feedback import FeedbackStats, TenantFeedback
+from repro.service.cache import plan_signature_hash
 from repro.serving import (
     BoundedInFlight,
     ConsistentHashRouter,
@@ -37,6 +46,10 @@ from repro.serving import (
     resolve_mode,
 )
 from repro.serving import pool as pool_module
+from repro.serving.app import SessionApp, WireApp
+from repro.serving.routing import RoutedApp
+from repro.serving.transport import HttpTransport, WireResponse
+from repro.workloads.tpch_templates import TPCH_TEMPLATES
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +461,118 @@ class TestClientConfig:
     def test_validation(self, kwargs):
         with pytest.raises(SessionError):
             ClientConfig(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# transport: one listening socket shared by several workers
+
+
+class _HealthApp(WireApp):
+    def health(self):
+        return {"schema_version": SCHEMA_VERSION, "status": "ok"}
+
+    def handle_get(self, path):
+        return WireResponse(200, self.health())
+
+
+class TestSharedListeningSocket:
+    def test_losing_accept_returns_instead_of_blocking(self):
+        # Handoff workers adopt one listening socket, and every worker's
+        # serve loop wakes on each new connection. One accept wins; the
+        # loser must fall back to its loop, where it can see shutdown(),
+        # instead of blocking until some later connection arrives.
+        listener = socket.create_server(("127.0.0.1", 0))
+        address = listener.getsockname()
+        first = HttpTransport.from_listening_socket(_HealthApp(), listener)
+        second = HttpTransport.from_listening_socket(_HealthApp(), listener)
+        loser = threading.Thread(target=second._handle_request_noblock)
+        try:
+            with socket.create_connection(address, timeout=5.0) as conn:
+                assert select.select([listener], [], [], 5.0)[0]
+                first._handle_request_noblock()
+                loser.start()
+                loser.join(2.0)
+                assert not loser.is_alive(), "losing accept() blocked"
+                conn.sendall(
+                    b"GET /v1/healthz HTTP/1.1\r\nHost: test\r\n"
+                    b"Connection: close\r\n\r\n"
+                )
+                reply = b""
+                while chunk := conn.recv(65536):
+                    reply += chunk
+            assert reply.startswith(b"HTTP/1.1 200")
+            assert reply.endswith(dumps(_HealthApp().health()).encode())
+        finally:
+            if loser.is_alive():
+                # Release the blocked accept so no thread outlives the test.
+                socket.create_connection(address, timeout=5.0).close()
+                loser.join(5.0)
+            first.server_close()
+            second.server_close()
+        assert not loser.is_alive()
+
+
+class _Recording(WireApp):
+    """Passes POSTs through and keeps every answer it gave."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.answers = []
+
+    def handle_post(self, path, read_body):
+        response = self.inner.handle_post(path, read_body)
+        self.answers.append(response)
+        return response
+
+
+class TestRoutedRelay:
+    def test_forwarded_batch_bytes_equal_the_owners_answer(
+        self, tpch_db, calibrated_units
+    ):
+        # Worker 0 forwards a batch whose first query worker 1 owns; the
+        # owner's 200 body must reach the client byte for byte, not
+        # decoded and re-encoded on the way.
+        session = Session.from_components(
+            tpch_db, calibrated_units,
+            SessionConfig(sampling_ratio=0.05, sampling_seed=3),
+        )
+        router = ConsistentHashRouter(2)
+        rng = np.random.default_rng(5)
+        queries = [
+            TPCH_TEMPLATES[i % len(TPCH_TEMPLATES)].instantiate(rng)
+            for i in range(24)
+        ]
+        owned = [
+            sql for sql in queries
+            if router.owner_point(plan_signature_hash(session.plan(sql))) == 1
+        ]
+        assert owned
+        owner = _Recording(SessionApp(session))
+        transport = HttpTransport(owner)
+        serving = threading.Thread(target=transport.serve_forever)
+        serving.start()
+        try:
+            front = RoutedApp(
+                SessionApp(session), session, router,
+                {0: "http://127.0.0.1:9", 1: transport.url}, self_index=0,
+            )
+            record = BatchRequest(
+                queries=tuple(owned[:3]) + ("SELEC nope",),
+                variants=("all", "nocov"), mpls=(1, 4),
+                confidences=(0.5, 0.9),
+            ).to_dict(version=1)
+            relayed = front.handle_post("/v1/predict-batch", lambda: record)
+        finally:
+            transport.shutdown()
+            serving.join(10.0)
+            transport.server_close()
+        (answer,) = owner.answers
+        assert relayed.status == 200
+        assert answer.body is not None
+        assert relayed.body == answer.body
+        assert relayed.record["schema_version"] == 1
+        assert relayed.record == loads(answer.body)
+        session.close()
 
 
 # ---------------------------------------------------------------------------

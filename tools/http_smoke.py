@@ -1,6 +1,6 @@
 """HTTP serving smoke for CI: boot ``repro serve``, drive it, shut down.
 
-Three stages, each booting ``python -m repro serve`` on an **ephemeral
+Four stages, each booting ``python -m repro serve`` on an **ephemeral
 port** as a child process and parsing the bound address from the
 startup "listening on" line.
 
@@ -21,6 +21,9 @@ Stage 2 — cross-version interop (the v2 compatibility contract):
 * a ``schema_version: 1`` predict must come back stamped v1 with no
   v2-only keys; unversioned ``GET /v1/stats`` stays the flat v1 report
   while ``?schema_version=2`` opts into the sectioned form;
+* a ``schema_version: 1`` batch must come back stamped v1 at the top
+  and in every response, with no ``feedback`` key, and its body must
+  be byte for byte ``dumps(BatchResponse.from_dict(body).to_dict(1))``;
 * ``POST /v1/observe`` must round-trip and surface in v2 stats;
 * a foreign version must be a structured 400 (``schema-version``).
 
@@ -55,13 +58,20 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.request
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.api.client import ApiError, HttpClient  # noqa: E402
-from repro.api.wire import SCHEMA_VERSION, Observation  # noqa: E402
+from repro.api.wire import (  # noqa: E402
+    SCHEMA_VERSION,
+    BatchResponse,
+    Observation,
+    dumps,
+    loads,
+)
 
 SQL = "SELECT COUNT(*) FROM orders WHERE o_totalprice > 100000"
 JOIN_SQL = (
@@ -212,6 +222,27 @@ def _cross_version_stage(scale: float, timeout: float) -> None:
         (result,) = body["results"]
         assert result["mean"] > 0, result
 
+        # v1-declared batch: the text rendered from the batch kernels
+        # is the exact v1 wire form of the typed answer.
+        request = urllib.request.Request(
+            url + "/v1/predict-batch",
+            data=dumps(
+                {"queries": [SQL, "SELEC nope", JOIN_SQL, SQL],
+                 "schema_version": 1, **FULL_FANOUT}
+            ).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with urllib.request.urlopen(request, timeout=timeout) as raw:
+            text = raw.read().decode("utf-8")
+        batch = loads(text)
+        assert batch["schema_version"] == 1, batch
+        assert len(batch["responses"]) == 3, batch
+        for response in batch["responses"]:
+            assert response["schema_version"] == 1, response
+            assert "feedback" not in response, response
+        assert text == dumps(BatchResponse.from_dict(batch).to_dict(1)), text
+
         # Unversioned GET /v1/stats stays the flat v1 report a deployed
         # monitor expects; ?schema_version=2 opts into the sectioned form.
         v1_stats = client.request_json("GET", "/v1/stats")
@@ -240,7 +271,10 @@ def _cross_version_stage(scale: float, timeout: float) -> None:
         else:
             raise AssertionError("schema_version 99 did not produce a 400")
 
-        print(f"http smoke ok: {url} v1 interop + observe round-trip")
+        print(
+            f"http smoke ok: {url} v1 interop (predict, batch) + "
+            "observe round-trip"
+        )
     finally:
         _stop(proc)
 
