@@ -14,7 +14,8 @@ and across repeats, and assembles with the vectorized matrix path.
 The second regime is the warm recurring-batch path: one warmed service
 serving the same batch through ``predict_batch`` (the cross-query SoA
 kernels, docs/service.md "Batch kernels") vs a reference loop written
-here that calls ``predict_query`` once per query, including the
+here that assembles each query once per (variant, mpl) through the
+scalar ``predict_prepared`` path, including the
 per-result confidence-interval payload the serving tier computes per
 response. ``soa_retained`` (hard floor: the batch path must stay >= 3x
 over the per-query loop) and ``soa_bitwise`` (hard floor 1.0: every
@@ -42,7 +43,7 @@ from repro.hardware import PROFILES, HardwareSimulator
 from repro.calibration import Calibrator
 from repro.optimizer import Optimizer
 from repro.sampling import SampleDatabase
-from repro.service import PredictionService
+from repro.service import PredictionService, QueryPrediction
 from repro.util import ensure_rng
 from repro.workloads.tpch_templates import TPCH_TEMPLATES
 
@@ -147,11 +148,25 @@ def _serve_batch(service, queries):
 
 
 def _serve_per_query(service, queries):
-    """The reference: one ``predict_query`` per query, intervals on demand."""
-    return [
-        service.predict_query(sql, variants=VARIANTS, mpls=MPLS)
-        for sql in queries
-    ]
+    """The reference: the scalar per-query loop, intervals on demand.
+
+    Each query is planned and prepared through the warm service, then
+    assembled once per (variant, mpl) by ``predict_prepared`` — the
+    loop ``predict_query`` ran before it became a batch of one.
+    """
+    predictions = []
+    for sql in queries:
+        planned = service.plan(sql)
+        prepared, was_cached = service.prepare(planned)
+        results = {}
+        for mpl in MPLS:
+            predictor = service._concurrent.predictor_at(mpl)
+            for variant in VARIANTS:
+                results[(variant, mpl)] = predictor.predict_prepared(
+                    planned, prepared, variant
+                )
+        predictions.append(QueryPrediction(sql, planned, results, was_cached))
+    return predictions
 
 
 def _payload(predictions):

@@ -17,8 +17,9 @@ status and the stable wire ``code`` (``"sql-parse"``,
 Admission refusals (503 ``over-capacity``) are retryable by
 construction — the server sheds load instead of queueing, and
 predictions are pure reads — so the client can absorb them:
-``retries_503=N`` re-sends a refused request up to N times behind a
-jittered exponential backoff drawn from a **seeded** generator
+``config=ClientConfig(retries_503=N)`` re-sends a refused request up to
+N times behind a jittered exponential backoff drawn from a **seeded**
+generator
 (deterministic delay sequences; replay runs stay reproducible). When
 the refusal carries the server's ``Retry-After`` hint, the backoff
 base is raised to honor it (capped at
@@ -27,9 +28,8 @@ the 503 is the honest default for load tests measuring shed traffic.
 
 All client knobs live on one declarative
 :class:`~repro.api.config.ClientConfig` (``HttpClient(url,
-config=ClientConfig(retries_503=3))``). The pre-v2 keyword arguments
-(``retries_503``/``backoff_seconds``/``backoff_seed``) keep working as
-deprecation shims that fold into the config.
+config=ClientConfig(retries_503=3))``); the ``timeout`` argument folds
+into it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import threading
 import time
 import urllib.error
 import urllib.request
-import warnings
 from typing import Sequence
 
 from ..errors import ReproError, SessionError
@@ -88,10 +87,11 @@ class ApiError(ReproError):
 class HttpClient:
     """Typed wire-schema requests against one serving base URL.
 
-    ``retries_503`` bounds how many times an admission-refused request
-    (503, code ``over-capacity``) is re-sent; ``backoff_seconds`` is the
-    first retry's base delay, doubled per attempt and jittered to
-    50–100% of the base by a generator seeded with ``backoff_seed``.
+    The config's ``retries_503`` bounds how many times an
+    admission-refused request (503, code ``over-capacity``) is re-sent;
+    its ``backoff_seconds`` is the first retry's base delay, doubled per
+    attempt and jittered to 50–100% of the base by a generator seeded
+    with its ``backoff_seed``. A ``timeout`` overrides the config's.
     The jitter draws and the retry counter are lock-protected, so the
     client is safe to share across threads; the delay *sequence* is
     deterministic — a serial (closed-loop) caller retries on the
@@ -105,44 +105,16 @@ class HttpClient:
         timeout: float | None = None,
         *,
         config: ClientConfig | None = None,
-        retries_503: int | None = None,
-        backoff_seconds: float | None = None,
-        backoff_seed: int | None = None,
     ):
-        legacy = {
-            name: value
-            for name, value in (
-                ("retries_503", retries_503),
-                ("backoff_seconds", backoff_seconds),
-                ("backoff_seed", backoff_seed),
-            )
-            if value is not None
-        }
-        if legacy and config is not None:
-            raise ApiError(
-                0, "bad-request",
-                "pass either config=ClientConfig(...) or the legacy "
-                f"keyword arguments, not both ({', '.join(sorted(legacy))})",
-            )
-        if legacy:
-            warnings.warn(
-                f"HttpClient({', '.join(sorted(legacy))}=...) is deprecated; "
-                "pass config=ClientConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if config is None:
             config = ClientConfig()
-        changes = dict(legacy)
         if timeout is not None:
-            changes["timeout"] = timeout
-        try:
-            if changes:
-                config = config.replace(**changes)
-        except SessionError as error:
-            # The pre-ClientConfig constructor reported bad knobs as
-            # ApiError(bad-request); keep that contract for the shims.
-            raise ApiError(0, "bad-request", str(error)) from None
+            try:
+                config = config.replace(timeout=timeout)
+            except SessionError as error:
+                # Client knobs are reported as client errors, not as
+                # SessionError (the config's own taxonomy).
+                raise ApiError(0, "bad-request", str(error)) from None
         self._config = config
         self._base_url = base_url.rstrip("/")
         self._timeout = config.timeout

@@ -1,4 +1,4 @@
-"""Rendering served predictions: the interval rule and the two batch forms.
+"""Rendering served predictions: the interval rule and the two answer forms.
 
 One served batch is a :class:`~repro.service.BatchColumns` — the SoA
 kernels' arrays plus the query-to-plan-slot map — and one feedback
@@ -6,7 +6,9 @@ snapshot, resolved into a :class:`ServedLevels`. This module turns that
 pair into either answer a session gives:
 
 * :func:`batch_response` — the typed
-  :class:`~repro.api.wire.BatchResponse` for in-process callers;
+  :class:`~repro.api.wire.BatchResponse` for in-process callers; a
+  single ``Session.predict`` is a batch of one rendered here, and
+  answers its one response;
 * :func:`batch_json` — the wire JSON text ``/v1/predict-batch`` writes,
   built straight from ``tolist()`` rows. It is byte-identical to
   ``dumps(batch_response(...).to_dict(version))`` (pinned by
@@ -14,8 +16,7 @@ pair into either answer a session gives:
   or dict.
 
 :meth:`ServedLevels.bounds` is the one place the per-level interval
-rule lives: both renderings call it, and so does the single-query path
-whenever the tenant's feedback window is active.
+rule lives, and both renderings call it.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ def batch_response(columns: BatchColumns, levels: ServedLevels) -> BatchResponse
     confidences = levels.confidences
     names = [variant.wire_name for variant in assembly.variants]
     # [slot][mpl][variant] lists: payload order is mpl outer, variant
-    # inner, as Session.predict serves it.
+    # inner.
     mean_list = assembly.mean.transpose(0, 2, 1).tolist()
     variance_list = assembly.variance.transpose(0, 2, 1).tolist()
     std_list = assembly.std.transpose(0, 2, 1).tolist()

@@ -16,20 +16,21 @@ below shares mutable caches), which is what lets the HTTP front-end
 ``PredictionService`` remains fully usable directly; it is the internal
 engine, the session is the front door.
 
-A batch is served once into the engine's columns
+Every prediction takes one path. A batch is served once into the
+engine's columns
 (:meth:`~repro.service.PredictionService.predict_batch_columns`) under
 one lock hold, read against one feedback snapshot, then rendered either as a
 typed :class:`~repro.api.wire.BatchResponse` (:meth:`Session.predict_batch`)
 or as its wire JSON text (:meth:`Session.predict_batch_json`) by
-:mod:`repro.api.render`.
+:mod:`repro.api.render`. A single request (:meth:`Session.predict`) is
+that batch step on one query, with failures raised instead of isolated,
+so a single answer equals its batch answer by construction.
 """
 
 from __future__ import annotations
 
 import threading
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from ..calibration import Calibrator
 from ..calibration.calibrator import CalibratedUnits
@@ -38,7 +39,7 @@ from ..datagen import TpchConfig, generate_tpch
 from ..errors import SessionError, WireError
 from ..feedback import DEFAULT_TENANT, FeedbackRecalibrator
 from ..hardware import PROFILES, HardwareSimulator
-from ..service.service import BatchColumns, PredictionService, QueryPrediction
+from ..service.service import BatchColumns, PredictionService
 from ..storage import Database
 from .config import SessionConfig
 from .render import (
@@ -52,12 +53,10 @@ from .wire import (
     SCHEMA_VERSION,
     BatchRequest,
     BatchResponse,
-    IntervalPayload,
     Observation,
     ObserveResponse,
     PredictRequest,
     PredictResponse,
-    ResultPayload,
     StatsSnapshot,
     _validate_fanout,
     check_emit_version,
@@ -257,20 +256,17 @@ class Session:
 
     # -- serving -----------------------------------------------------------
     def predict(self, request: PredictRequest | str) -> PredictResponse:
-        """Serve one prediction request (a bare SQL string is accepted)."""
+        """Serve one prediction request (a bare SQL string is accepted).
+
+        The request is served as a batch of one, through the same
+        columns and rendering as :meth:`predict_batch`, except that a
+        query that cannot be served raises instead of becoming a
+        failure entry.
+        """
         if isinstance(request, str):
             request = PredictRequest(sql=request)
-        variants, mpls, confidences = self._fanout(
-            request.variants, request.mpls, request.confidences
-        )
-        with self._lock:
-            self._ensure_open()
-            prediction = self._service.predict_query(
-                request.sql, variants=variants, mpls=mpls
-            )
-        tenant = request.tenant if request.tenant is not None else DEFAULT_TENANT
-        levels = ServedLevels.snapshot(self._feedback, tenant, confidences)
-        return self._response(prediction, request.sql, levels)
+        columns, levels = self._serve((request.sql,), request, skip_failures=False)
+        return batch_response(columns, levels).responses[0]
 
     def predict_batch(
         self, batch: BatchRequest | Sequence[str]
@@ -284,8 +280,8 @@ class Session:
 
         The resolved confidence fan-out is passed down so the engine's
         batch kernels precompute every interval bound in the same array
-        pass; each response is bit for bit what :meth:`predict` serves
-        for the same SQL and fan-out.
+        pass. :meth:`predict` serves one query through this same step,
+        so each response is what it serves for the same SQL and fan-out.
         """
         return batch_response(*self._serve_batch(batch))
 
@@ -305,26 +301,35 @@ class Session:
     def _serve_batch(
         self, batch: BatchRequest | Sequence[str]
     ) -> tuple[BatchColumns, ServedLevels]:
-        """Serve ``batch`` into columns and read its one feedback snapshot.
+        if not isinstance(batch, BatchRequest):
+            batch = BatchRequest(queries=tuple(batch))
+        return self._serve(batch.queries, batch, batch.skip_failures)
+
+    def _serve(
+        self,
+        queries: Sequence[str],
+        request: PredictRequest | BatchRequest,
+        skip_failures: bool,
+    ) -> tuple[BatchColumns, ServedLevels]:
+        """Serve ``queries`` at ``request``'s fan-out into columns and read
+        its one feedback snapshot.
 
         The engine runs under one hold of the session lock; the tenant's
         calibration state is then read once for the whole batch, so
         every response is served under the same state, whatever
         ``observe`` calls land meanwhile.
         """
-        if not isinstance(batch, BatchRequest):
-            batch = BatchRequest(queries=tuple(batch))
         variants, mpls, confidences = self._fanout(
-            batch.variants, batch.mpls, batch.confidences
+            request.variants, request.mpls, request.confidences
         )
-        tenant = batch.tenant if batch.tenant is not None else DEFAULT_TENANT
+        tenant = request.tenant if request.tenant is not None else DEFAULT_TENANT
         with self._lock:
             self._ensure_open()
             columns = self._service.predict_batch_columns(
-                batch.queries,
+                queries,
                 variants=variants,
                 mpls=mpls,
-                skip_failures=batch.skip_failures,
+                skip_failures=skip_failures,
                 confidences=confidences,
             )
         return columns, ServedLevels.snapshot(self._feedback, tenant, confidences)
@@ -413,44 +418,3 @@ class Session:
         _validate_fanout(names, mpls, confidences)
         resolved = tuple(Variant.from_name(name) for name in names)
         return resolved, mpls, confidences
-
-    def _response(
-        self, prediction: QueryPrediction, sql: str, levels: ServedLevels
-    ) -> PredictResponse:
-        confidences = levels.confidences
-        cells = list(prediction.results.items())
-        bounds = [
-            [result.confidence_interval(c) for c in confidences]
-            for _, result in cells
-        ]
-        # While the tenant's feedback window is inactive the static
-        # intervals are served untouched — observe-free serving stays
-        # bitwise-identical to the pre-feedback stack. Otherwise the one
-        # interval rule runs over this query's cells.
-        if levels.recipes is not None:
-            bounds = levels.bounds(
-                np.array([result.mean for _, result in cells]),
-                np.array([result.std for _, result in cells]),
-                np.array(bounds, dtype=np.float64).reshape(
-                    len(cells), len(confidences), 2
-                ),
-            ).tolist()
-        return PredictResponse(
-            sql=sql,
-            results=tuple(
-                ResultPayload(
-                    variant=variant.wire_name,
-                    mpl=mpl,
-                    mean=result.mean,
-                    variance=result.distribution.variance,
-                    std=result.std,
-                    intervals=tuple(
-                        IntervalPayload(confidence, low, high)
-                        for confidence, (low, high) in zip(confidences, served)
-                    ),
-                )
-                for ((variant, mpl), result), served in zip(cells, bounds)
-            ),
-            prepare_was_cached=prediction.prepare_was_cached,
-            feedback=levels.feedback,
-        )

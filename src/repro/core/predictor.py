@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from ..caching import ByteBudgetLRU
 from ..calibration.calibrator import CalibratedUnits
 from ..costfuncs.fitting import DEFAULT_GRID_W, CostFunctionFitter, OperatorCostFunctions
@@ -79,31 +77,6 @@ class PreparedPrediction:
         default=None, repr=False, compare=False
     )
     _assembler_root: object = field(default=None, repr=False, compare=False)
-    _node_parameters: tuple | None = field(default=None, repr=False, compare=False)
-
-    def node_parameters(self) -> tuple:
-        """``(means, variances)`` arrays over non-alias operators, by op id.
-
-        The sampling estimate's per-node selectivity distributions
-        (Algorithm 1's outputs) in stable operator-id order, cached —
-        the batch kernel stacks these for every plan of a batch, and
-        the estimate never changes after preparation.
-        """
-        if self._node_parameters is None:
-            per_node = self.estimate.per_node
-            means: list[float] = []
-            variances: list[float] = []
-            for op_id in sorted(per_node):
-                node_sel = per_node[op_id]
-                if node_sel.source == "alias":
-                    continue
-                means.append(node_sel.mean)
-                variances.append(node_sel.variance)
-            self._node_parameters = (
-                np.array(means, dtype=np.float64),
-                np.array(variances, dtype=np.float64),
-            )
-        return self._node_parameters
 
     def assembler(self, planned) -> VectorizedAssembler:
         """The (lazily built, cached) vectorized Algorithm-3 assembler.

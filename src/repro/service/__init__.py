@@ -13,7 +13,6 @@ from .kernels import (
     assemble_batch,
     batch_intervals,
     build_batch_plan,
-    segment_sum,
 )
 from .service import (
     BatchColumns,
@@ -46,6 +45,5 @@ __all__ = [
     "materialize",
     "plan_signature",
     "plan_signature_hash",
-    "segment_sum",
     "subplan_signature",
 ]

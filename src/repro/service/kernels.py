@@ -1,20 +1,18 @@
-"""Cross-query SoA batch kernels, bitwise-locked to the per-query path.
+"""Cross-query SoA prediction kernels: the one Algorithm-3 serving path.
 
-These kernels are the only implementation of
-:meth:`~repro.service.PredictionService.predict_batch`. Serving one
-query (:meth:`~repro.service.PredictionService.predict_query`) fans
-variants x mpls through :meth:`~repro.core.variance.VectorizedAssembler
-.assemble` — every call redoing the monomial-to-unit-space kernel
-contraction (two MxM matrix products) and paying python call overhead
-per (variant, mpl) combination, then one scalar quantile per interval
-bound. A batch instead runs as structure-of-arrays:
+These kernels serve every prediction: a batch through
+:meth:`~repro.service.PredictionService.predict_batch_columns`, and a
+single query as a batch of one. Serving one query on its own — the
+scalar loop kept as ``predict_query_oracle`` in
+``tests/batch_oracle.py`` — fans variants x mpls through
+:meth:`~repro.core.variance.VectorizedAssembler.assemble`, every call
+redoing the monomial-to-unit-space kernel contraction (two MxM matrix
+products) and paying python call overhead per (variant, mpl)
+combination, then one scalar quantile per interval bound. The kernels
+instead run as structure-of-arrays:
 
-1. :func:`build_batch_plan` interns every query's plan signature (via
-   :func:`~repro.service.cache.plan_signature_hash`, the same hash the
-   prepared cache and routing ring key on), dedups duplicate plans, and
-   stacks all distinct plans' node selectivity parameters — the outputs
-   of Algorithm 1's sampling pass — into ragged arrays with per-plan
-   segment offsets;
+1. :func:`build_batch_plan` interns every query's plan signature and
+   dedups duplicate plans into one slot per distinct plan;
 2. :func:`assemble_batch` evaluates Algorithm-3 variance assembly for
    every (plan, variant, mpl) combination over shared ``(P, V, L)``
    arrays, pulling each plan's cached unit-space moments
@@ -23,17 +21,16 @@ bound. A batch instead runs as structure-of-arrays:
    ``include_cost_unit_variance`` share bit-identical moments — instead
    of re-contracting per (variant, mpl);
 3. :func:`batch_intervals` evaluates every confidence-interval bound
-   for the whole batch with vectorized quantile math.
+   for the whole batch in one broadcast.
 
 **The bitwise contract.** Every number this module produces is
-bit-identical to what the per-query path
+bit-identical to what the scalar per-query loop
 (:meth:`~repro.core.variance.VectorizedAssembler.assemble` +
 :meth:`~repro.mathstats.normal.NormalDistribution.interval` +
 :meth:`~repro.core.predictor.PredictionResult.confidence_interval`)
 produces for the same inputs — ``tests/test_kernels.py`` enforces this
-differentially over hundreds of randomized batches, against a
-``predict_query``-per-query oracle. That constraint shapes the
-implementation:
+differentially over hundreds of randomized batches, against
+``predict_query_oracle``. That constraint shapes the implementation:
 
 * Row-wise reductions use formulations verified bit-identical to their
   scalar counterparts on this stack: ``(W[None] * C).reshape(P, U*U)
@@ -48,10 +45,6 @@ implementation:
   batched formulation (matmul, einsum, elementwise+sum under any
   association order) reproduces its bits — only the same op on the
   same operands does. See docs/service.md.
-* ``np.add.reduceat`` is *not* bitwise-equal to ``.sum()`` on floats
-  (sequential vs pairwise accumulation), so :func:`segment_sum` is
-  reserved for integer bookkeeping — segment counts and validation
-  flags — where every summation order is exact.
 """
 
 from __future__ import annotations
@@ -65,10 +58,9 @@ from scipy.special import erfinv
 
 from ..core.concurrency import ConcurrentPredictor
 from ..core.predictor import VARIANT_OPTIONS, PreparedPrediction, Variant
-from ..errors import PredictionError
 from ..optimizer.cost_model import COST_UNIT_NAMES
 from ..optimizer.optimizer import PlannedQuery
-from .cache import plan_signature, plan_signature_hash
+from .cache import plan_signature
 
 __all__ = [
     "BatchAssembly",
@@ -76,57 +68,24 @@ __all__ = [
     "assemble_batch",
     "batch_intervals",
     "build_batch_plan",
-    "segment_sum",
 ]
 
 _SQRT2 = math.sqrt(2)
 
 
-def segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per-segment sums of ``values`` split at ``offsets`` (len P+1).
-
-    Built on ``np.add.reduceat``, with the two reduceat edge cases
-    handled explicitly: an empty segment (``offsets[i] == offsets[i+1]``)
-    would return ``values[offsets[i]]`` instead of 0, and a segment
-    starting at ``len(values)`` would raise. Intended for *integer*
-    arrays (counts, flags), where summation order cannot change the
-    result; float segment sums must not be compared bitwise against
-    ``.sum()`` (pairwise vs sequential accumulation).
-    """
-    offsets = np.asarray(offsets, dtype=np.intp)
-    counts = np.diff(offsets)
-    if (counts < 0).any() or (offsets[0] if len(offsets) else 0) != 0:
-        raise ValueError(f"offsets must start at 0 and be nondecreasing: {offsets}")
-    if values.size == 0 or (counts == 0).any():
-        # reduceat cannot express empty segments; exact prefix-sum
-        # fallback (integer arithmetic is associativity-free).
-        prefix = np.concatenate([[0], np.cumsum(values)])
-        return prefix[offsets[1:]] - prefix[offsets[:-1]]
-    return np.add.reduceat(values, offsets[:-1])
-
-
 @dataclass
 class BatchPlan:
-    """One batch's distinct plans in structure-of-arrays form.
+    """One batch's distinct plans.
 
-    ``planned``/``prepared``/``signatures``/``signature_hashes`` hold
-    one entry per *distinct* plan signature; ``query_slots`` maps each
-    submitted query back to its slot. The node arrays are the ragged
-    concatenation of every distinct plan's per-operator selectivity
-    parameters (Algorithm 1's outputs), segmented by ``node_offsets``:
-    plan ``p`` owns ``node_means[node_offsets[p]:node_offsets[p + 1]]``.
+    ``planned``/``prepared``/``signatures`` hold one entry per
+    *distinct* plan signature; ``query_slots`` maps each submitted query
+    back to its slot.
     """
 
     planned: list[PlannedQuery]
     prepared: list[PreparedPrediction]
     signatures: list[str]
-    #: CRC-32 of each distinct signature — the same value the routing
-    #: ring and prepared-cache keying derive via ``plan_signature_hash``.
-    signature_hashes: np.ndarray
     query_slots: np.ndarray
-    node_offsets: np.ndarray
-    node_means: np.ndarray
-    node_variances: np.ndarray
 
     def __len__(self) -> int:
         return len(self.planned)
@@ -135,67 +94,21 @@ class BatchPlan:
     def num_queries(self) -> int:
         return len(self.query_slots)
 
-    @property
-    def node_counts(self) -> np.ndarray:
-        """Nodes per distinct plan (``np.diff`` of the segment offsets)."""
-        return np.diff(self.node_offsets)
-
-    def padded_node_means(self, fill: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        """``(padded, mask)``: the ragged node means as a dense (P, W) array.
-
-        ``W`` is the widest plan's node count; ``mask[p, i]`` is True
-        where ``padded[p, i]`` holds plan ``p``'s i-th node mean and
-        False where it holds ``fill``.
-        """
-        counts = self.node_counts
-        plans = len(self)
-        width = int(counts.max()) if plans and counts.size else 0
-        padded = np.full((plans, width), fill, dtype=self.node_means.dtype)
-        mask = np.arange(width)[None, :] < counts[:, None]
-        padded[mask] = self.node_means
-        return padded, mask
-
-    def validate(self) -> None:
-        """Batch-wide sanity gate over the stacked node parameters.
-
-        One vectorized pass flags non-finite means/variances and
-        negative variances across *all* plans at once; offenders are
-        localized back to their plan via integer :func:`segment_sum`
-        over the flag array. A diagnostic for tests and debugging — the
-        serving path does not run it, because the per-query path it must
-        stay bitwise-identical to performs no such check.
-        """
-        flags = (
-            ~np.isfinite(self.node_means)
-            | ~np.isfinite(self.node_variances)
-            | (self.node_variances < 0.0)
-        ).astype(np.intp)
-        if not flags.any():
-            return
-        per_plan = segment_sum(flags, self.node_offsets)
-        bad = [int(slot) for slot in np.nonzero(per_plan)[0]]
-        raise PredictionError(
-            f"batch plan has invalid node parameters in plan slots {bad}"
-        )
-
 
 def build_batch_plan(
     entries: Sequence[tuple[PlannedQuery, PreparedPrediction]],
 ) -> BatchPlan:
-    """Intern, dedup, and stack one batch's plans into a :class:`BatchPlan`.
+    """Intern and dedup one batch's plans into a :class:`BatchPlan`.
 
-    Dedup keys on the full interned signature *string* — the CRC-32 is
-    carried alongside for ring placement but is never the dedup key, so
-    a 32-bit collision between distinct plans can only misroute, never
-    merge, them.
+    Dedup keys on the full interned signature *string*, never on its
+    CRC-32 (:func:`~repro.service.cache.plan_signature_hash`, which
+    routing places queries by), so a 32-bit collision between distinct
+    plans can only misroute, never merge, them.
     """
     slots: dict[str, int] = {}
     planned_list: list[PlannedQuery] = []
     prepared_list: list[PreparedPrediction] = []
     signatures: list[str] = []
-    hashes: list[int] = []
-    mean_chunks: list[np.ndarray] = []
-    var_chunks: list[np.ndarray] = []
     query_slots = np.empty(len(entries), dtype=np.intp)
     for position, (planned, prepared) in enumerate(entries):
         signature = plan_signature(planned)
@@ -206,31 +119,12 @@ def build_batch_plan(
             planned_list.append(planned)
             prepared_list.append(prepared)
             signatures.append(signature)
-            hashes.append(plan_signature_hash(planned))
-            means, variances = prepared.node_parameters()
-            mean_chunks.append(means)
-            var_chunks.append(variances)
         query_slots[position] = slot
-    node_offsets = np.zeros(len(planned_list) + 1, dtype=np.intp)
-    if mean_chunks:
-        np.cumsum([chunk.size for chunk in mean_chunks], out=node_offsets[1:])
     return BatchPlan(
         planned=planned_list,
         prepared=prepared_list,
         signatures=signatures,
-        signature_hashes=np.array(hashes, dtype=np.uint32),
         query_slots=query_slots,
-        node_offsets=node_offsets,
-        node_means=(
-            np.concatenate(mean_chunks)
-            if mean_chunks
-            else np.zeros(0, dtype=np.float64)
-        ),
-        node_variances=(
-            np.concatenate(var_chunks)
-            if var_chunks
-            else np.zeros(0, dtype=np.float64)
-        ),
     )
 
 
@@ -379,7 +273,7 @@ def assemble_batch(
                 unit_part[:, vi, li] = class_unit[:, ci]
             elif not moments_finite:
                 # ddot(zeros, g * g) is exactly +0.0 for finite g — the
-                # zero-initialized rows already match the per-query path.
+                # zero-initialized rows already match the scalar loop.
                 # A non-finite g would make the scalar contraction NaN,
                 # so only then compute it explicitly.
                 unit_col = unit_part[:, vi, li]
@@ -426,27 +320,20 @@ def batch_intervals(
     ``PredictionResult.confidence_interval`` bit for bit: the quantile
     association ``mean + ((std * sqrt(2)) * erfinv(...))``, the
     variance-0 point-mass branch, and the nonnegative clamp on both
-    bounds.
+    bounds, all in one broadcast over the trailing ``(C, 2)`` axes.
     """
     confidences = tuple(confidences)
     for confidence in confidences:
         if not 0.0 < confidence < 1.0:
             raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    # One scalar erfinv per (confidence, side), hoisted out of the array
-    # loop below. The expressions are verbatim the scalar quantile path's
-    # ``2 * p - 1`` for ``p = tail`` and ``p = 1.0 - tail``.
-    tails = [(1.0 - confidence) / 2.0 for confidence in confidences]
-    coefficients = [
-        (float(erfinv(2 * tail - 1)), float(erfinv(2 * (1.0 - tail) - 1)))
-        for tail in tails
-    ]
-    mean = assembly.mean
-    scaled_std = assembly.std * _SQRT2
-    point_mass = assembly.variance == 0.0
-    out = np.empty(mean.shape + (len(confidences), 2))
-    for ci, pair in enumerate(coefficients):
-        for side, coefficient in enumerate(pair):
-            quantile = mean + scaled_std * coefficient
-            bound = np.where(point_mass, mean, quantile)
-            out[..., ci, side] = np.where(bound < 0.0, 0.0, bound)
-    return out
+    # The (confidence, side) erfinv coefficients, hoisted out of the
+    # array pass. The expressions are verbatim the scalar quantile
+    # path's ``2 * p - 1`` for ``p = tail`` and ``p = 1.0 - tail``,
+    # elementwise, so every coefficient has the scalar path's bits.
+    tails = (1.0 - np.array(confidences, dtype=np.float64)) / 2.0
+    coefficients = erfinv(np.stack([2 * tails - 1, 2 * (1.0 - tails) - 1], axis=-1))
+    mean = assembly.mean[..., None, None]
+    quantile = mean + (assembly.std * _SQRT2)[..., None, None] * coefficients
+    point_mass = (assembly.variance == 0.0)[..., None, None]
+    bound = np.where(point_mass, mean, quantile)
+    return np.where(bound < 0.0, 0.0, bound)

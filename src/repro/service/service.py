@@ -13,14 +13,12 @@ The division of labour per query:
 * plan       — once per distinct SQL string (memoized);
 * prepare    — once per distinct (plan, sample set): the sampling pass
                and cost-function fitting, by far the dominant cost;
-* assemble   — a single query (:meth:`PredictionService.predict_query`)
-               runs once per (variant, mpl) through the shared
-               :class:`~repro.core.variance.VectorizedAssembler`; a
-               batch (:meth:`PredictionService.predict_batch`) runs the
-               whole (query, variant, mpl) fan-out, plus its
-               confidence intervals, as one pass of the cross-query
-               array kernels in :mod:`repro.service.kernels`, bit for
-               bit the per-query numbers.
+* assemble   — one pass of the cross-query array kernels in
+               :mod:`repro.service.kernels` for the whole (query,
+               variant, mpl) fan-out of a batch, plus its confidence
+               intervals. A single query
+               (:meth:`PredictionService.predict_query`) is served as a
+               batch of one, so there is one assembly path.
 
 Below the prepared-artifact cache sits a second, finer-grained layer:
 one :class:`~repro.sampling.engine.SamplingEngine` shared by every
@@ -440,25 +438,15 @@ class PredictionService:
         variants: Sequence[Variant] = (Variant.ALL,),
         mpls: Sequence[int] = (1,),
     ) -> QueryPrediction:
-        """One query, fanned out across variants and multiprogramming levels."""
-        if not variants or not mpls:
-            raise PredictionError("need at least one variant and one mpl")
-        planned = self.plan(query)
-        prepared, was_cached = self.prepare(planned)
-        results: dict[tuple[Variant, int], PredictionResult] = {}
-        for mpl in mpls:
-            predictor = self._concurrent.predictor_at(mpl)
-            for variant in variants:
-                results[(variant, mpl)] = predictor.predict_prepared(
-                    planned, prepared, variant
-                )
-        self._count(assemblies=len(results), queries_served=1)
-        return QueryPrediction(
-            sql=query if isinstance(query, str) else None,
-            planned=planned,
-            results=results,
-            prepare_was_cached=was_cached,
-        )
+        """One query, fanned out across variants and multiprogramming levels.
+
+        Served as a batch of one (:meth:`predict_batch`), so a failure
+        raises and a single query answers exactly what it answers in a
+        batch.
+        """
+        return self.predict_batch(
+            (query,), variants=variants, mpls=mpls
+        ).predictions[0]
 
     def predict_batch(
         self,
@@ -468,16 +456,15 @@ class PredictionService:
         skip_failures: bool = False,
         confidences: Sequence[float] | None = None,
     ) -> BatchPrediction:
-        """A whole batch, fanned out like :meth:`predict_query` per query.
+        """A whole batch, every query fanned out across variants and mpls.
 
         Serves the batch into columns (:meth:`predict_batch_columns`,
         which documents the semantics) and materializes them as one
         :class:`QueryPrediction` per served query, with a
-        :class:`~repro.core.predictor.PredictionResult` per (variant,
-        mpl) whose ``confidences`` intervals are the kernels' bounds.
-        Every served number is bit for bit what :meth:`predict_query`
-        serves for the same query. Intervals at levels outside
-        ``confidences`` are computed on demand, as for a single query.
+        :class:`~repro.core.predictor.PredictionResult` per distinct
+        (variant, mpl) whose ``confidences`` intervals are the kernels'
+        bounds. Intervals at levels outside ``confidences`` are computed
+        on demand.
         """
         started = time.perf_counter()
         columns = self.predict_batch_columns(
@@ -507,13 +494,13 @@ class PredictionService:
         Stage 1 plans and prepares each query (memoized plan, cached
         prepare). The remaining stages run the whole batch through the
         cross-query array kernels: distinct plans are interned and
-        stacked (:func:`~repro.service.kernels.build_batch_plan`),
+        deduped (:func:`~repro.service.kernels.build_batch_plan`),
         assembled in shared arrays
         (:func:`~repro.service.kernels.assemble_batch`), and the
         requested ``confidences`` bounded in the same pass
-        (:func:`~repro.service.kernels.batch_intervals`). A completed
-        batch leaves the same counter deltas as calling
-        :meth:`predict_query` once per query.
+        (:func:`~repro.service.kernels.batch_intervals`). Repeated
+        variants and mpls are served once, in first-occurrence order,
+        so ``assemblies`` counts distinct (query, variant, mpl) cells.
 
         With ``skip_failures=True``, a query that cannot be planned or
         predicted (malformed SQL, unsupported plan shape, a predicate
@@ -529,8 +516,8 @@ class PredictionService:
         it already ran stay counted and cached, but ``queries_served``
         and ``assemblies`` do not move.
         """
-        variants = tuple(variants)
-        mpls = tuple(mpls)
+        variants = tuple(dict.fromkeys(variants))
+        mpls = tuple(dict.fromkeys(mpls))
         confidences = tuple(confidences) if confidences else ()
         before = self._snapshot_stats()
         started = time.perf_counter()
@@ -626,8 +613,8 @@ def materialize(columns: BatchColumns) -> list[QueryPrediction]:
         if results is None:
             prepared = columns.plan.prepared[slot]
             results = slot_results[slot] = {}
-            # Same (mpl outer, variant inner) order as predict_query:
-            # response payload order follows dict insertion order.
+            # mpl outer, variant inner: response payload order follows
+            # dict insertion order.
             for li, mpl in enumerate(mpls):
                 mean_row = mean_list[slot][li]
                 variance_row = variance_list[slot][li]

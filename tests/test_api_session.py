@@ -2,6 +2,7 @@
 
 import pytest
 
+from batch_oracle import predict_query_oracle
 from repro.api import PredictRequest, Session, SessionConfig
 from repro.core import Variant
 from repro.errors import SessionError, SqlError
@@ -72,9 +73,9 @@ class TestSessionConfig:
 
 class TestSessionServing:
     def test_predict_matches_the_engine(self, session):
-        """The facade is a typed view over PredictionService, not a fork."""
+        """The facade serves the scalar per-query assembly's numbers."""
         response = session.predict(SQL_A)
-        engine = session.service.predict_query(SQL_A)
+        engine = predict_query_oracle(session.service, SQL_A)
         result = engine.result(Variant.ALL, 1)
         cell = response.result("all", 1)
         assert cell.mean == result.mean

@@ -18,6 +18,7 @@ import random
 
 import pytest
 
+from batch_oracle import predict_query_oracle
 from repro.api import (
     BatchRequest,
     Observation,
@@ -239,8 +240,8 @@ class TestSessionServesNestedIntervals:
                 sql=sql, tenant="never-observed", confidences=confidences,
             ))
             assert response.feedback is None
-            prediction = service.predict_query(
-                sql, variants=session.config.variants(),
+            prediction = predict_query_oracle(
+                service, sql, variants=session.config.variants(),
                 mpls=session.config.default_mpls,
             )
             for payload, result in zip(

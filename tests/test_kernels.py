@@ -1,13 +1,13 @@
-"""The SoA batch kernels, differentially locked to the per-query path.
+"""The SoA batch kernels, differentially locked to the scalar per-query loop.
 
 The contract under test (docs/service.md "Batch kernels"): every number
 ``PredictionService.predict_batch`` serves — means, variances, stds,
 all three variance-breakdown terms, per-unit means, and both bounds of
-every confidence interval — is *bitwise* identical to serving each
-query on its own, as the oracle in ``batch_oracle.py`` does (one
-``predict_query`` call per query). Closeness is not enough: a batch
-must answer exactly what the same queries answer one at a time, or a
-client could tell the two endpoints apart. The harness therefore packs
+every confidence interval — is *bitwise* identical to assembling each
+query on its own, as the oracle in ``batch_oracle.py`` does (one scalar
+``predict_query_oracle`` call per query). Closeness is not enough: the
+kernels serve single queries too, so they must answer exactly what the
+scalar path answers, one query at a time. The harness therefore packs
 every float with ``struct.pack("<d", ...)`` and compares bytes across
 hundreds of seeded random batches (ragged sizes, duplicate SQL,
 variant/mpl/confidence fan-outs, point-mass variances, single-node and
@@ -22,7 +22,7 @@ import zlib
 import numpy as np
 import pytest
 
-from batch_oracle import predict_batch_oracle
+from batch_oracle import predict_batch_oracle, predict_query_oracle
 from repro.core.predictor import Variant
 from repro.errors import PredictionError
 from repro.service import (
@@ -35,7 +35,6 @@ from repro.service.kernels import (
     assemble_batch,
     batch_intervals,
     build_batch_plan,
-    segment_sum,
 )
 from repro.serving.routing import ConsistentHashRouter
 from repro.workloads.tpch_templates import TPCH_TEMPLATES
@@ -134,7 +133,7 @@ def _soa(service, queries, variants, mpls, confidences, skip_failures):
 
 
 def _oracle(service, queries, variants, mpls, confidences, skip_failures):
-    """One ``predict_query`` per query; intervals computed on demand."""
+    """One scalar ``predict_query_oracle`` per query; intervals on demand."""
     return predict_batch_oracle(
         service,
         queries,
@@ -157,56 +156,7 @@ def _batch_payloads(serve, service, queries, variants, mpls, confidences,
 
 
 # ---------------------------------------------------------------------------
-# segment_sum: the integer segmented reduction under the ragged arrays.
-# ---------------------------------------------------------------------------
-
-
-class TestSegmentSum:
-    def test_plain_segments(self):
-        values = np.array([1, 2, 3, 4, 5, 6], dtype=np.intp)
-        offsets = np.array([0, 2, 3, 6], dtype=np.intp)
-        assert segment_sum(values, offsets).tolist() == [3, 3, 15]
-
-    def test_empty_segment_in_the_middle(self):
-        values = np.array([1, 2, 3], dtype=np.intp)
-        offsets = np.array([0, 1, 1, 3], dtype=np.intp)
-        assert segment_sum(values, offsets).tolist() == [1, 0, 5]
-
-    def test_trailing_empty_segment(self):
-        # reduceat would raise on a segment starting at len(values).
-        values = np.array([4, 5], dtype=np.intp)
-        offsets = np.array([0, 2, 2], dtype=np.intp)
-        assert segment_sum(values, offsets).tolist() == [9, 0]
-
-    def test_leading_empty_segment(self):
-        # reduceat would return values[0] for the empty first segment.
-        values = np.array([7, 8], dtype=np.intp)
-        offsets = np.array([0, 0, 2], dtype=np.intp)
-        assert segment_sum(values, offsets).tolist() == [0, 15]
-
-    def test_all_segments_empty(self):
-        values = np.zeros(0, dtype=np.intp)
-        offsets = np.array([0, 0, 0], dtype=np.intp)
-        assert segment_sum(values, offsets).tolist() == [0, 0]
-
-    def test_no_segments(self):
-        values = np.zeros(0, dtype=np.intp)
-        offsets = np.array([0], dtype=np.intp)
-        assert segment_sum(values, offsets).tolist() == []
-
-    def test_decreasing_offsets_rejected(self):
-        values = np.array([1, 2, 3], dtype=np.intp)
-        with pytest.raises(ValueError):
-            segment_sum(values, np.array([0, 2, 1, 3], dtype=np.intp))
-
-    def test_nonzero_start_rejected(self):
-        values = np.array([1, 2, 3], dtype=np.intp)
-        with pytest.raises(ValueError):
-            segment_sum(values, np.array([1, 3], dtype=np.intp))
-
-
-# ---------------------------------------------------------------------------
-# BatchPlan: interning, dedup, padding, segment offsets, validation.
+# BatchPlan: interning and dedup.
 # ---------------------------------------------------------------------------
 
 
@@ -224,20 +174,16 @@ class TestBatchPlan:
         batch_plan = build_batch_plan([])
         assert len(batch_plan) == 0
         assert batch_plan.num_queries == 0
-        assert batch_plan.node_offsets.tolist() == [0]
-        assert batch_plan.node_means.size == 0
-        padded, mask = batch_plan.padded_node_means()
-        assert padded.shape == (0, 0)
-        assert mask.shape == (0, 0)
-        batch_plan.validate()
+        assert batch_plan.query_slots.tolist() == []
 
     def test_batch_of_one(self, service, pool):
-        batch_plan = build_batch_plan(_entries(service, [pool[0]]))
+        entries = _entries(service, [pool[0]])
+        batch_plan = build_batch_plan(entries)
         assert len(batch_plan) == 1
         assert batch_plan.query_slots.tolist() == [0]
-        counts = batch_plan.node_counts
-        assert counts.tolist() == [batch_plan.node_means.size]
-        assert counts[0] > 0
+        assert batch_plan.planned == [entries[0][0]]
+        assert batch_plan.prepared == [entries[0][1]]
+        assert batch_plan.signatures == [plan_signature(entries[0][0])]
 
     def test_all_identical_plans_share_one_slot(self, service, pool):
         batch_plan = build_batch_plan(_entries(service, [pool[0]] * 5))
@@ -252,28 +198,6 @@ class TestBatchPlan:
         assert len(batch_plan) == 2
         assert batch_plan.query_slots.tolist() == [0, 1, 0]
         assert batch_plan.signatures[0] != batch_plan.signatures[1]
-
-    def test_signature_hashes_are_interned_crc32(self, service, pool):
-        batch_plan = build_batch_plan(_entries(service, pool[:4]))
-        for signature, crc in zip(
-            batch_plan.signatures, batch_plan.signature_hashes
-        ):
-            assert int(crc) == zlib.crc32(signature.encode("utf-8"))
-
-    def test_padded_node_means_roundtrip(self, service, pool):
-        batch_plan = build_batch_plan(_entries(service, pool[:6]))
-        padded, mask = batch_plan.padded_node_means(fill=-1.0)
-        assert mask.sum(axis=1).tolist() == batch_plan.node_counts.tolist()
-        assert padded[mask].tolist() == batch_plan.node_means.tolist()
-        assert (padded[~mask] == -1.0).all()
-
-    def test_validate_localizes_bad_plan(self, service, pool):
-        batch_plan = build_batch_plan(_entries(service, pool[:3]))
-        start = int(batch_plan.node_offsets[1])
-        batch_plan.node_variances = batch_plan.node_variances.copy()
-        batch_plan.node_variances[start] = -1.0
-        with pytest.raises(PredictionError, match=r"\[1\]"):
-            batch_plan.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +317,32 @@ class TestDifferential:
                 clamped = max(result.mean, 0.0)
                 assert result.confidence_interval(0.9) == (clamped, clamped)
         assert point_masses == len(queries)
+
+    def test_repeated_fanout_entries_serve_each_cell_once(self, service, pool):
+        """Repeated variants and mpls are served and counted once, in
+        first-occurrence order, as the scalar loop's result keys are."""
+        variants = [Variant.NO_COV, Variant.ALL, Variant.NO_COV]
+        mpls = [3, 1, 3, 3]
+        confidences = (0.9, 0.5)
+        before = service.stats.snapshot()
+        oracle = predict_query_oracle(
+            service, pool[2], variants=variants, mpls=mpls
+        )
+        oracle_delta = service.stats.snapshot().since(before)
+        before = service.stats.snapshot()
+        (soa,) = _soa(
+            service, [pool[2]], variants, mpls, confidences, False
+        ).predictions
+        soa_delta = service.stats.snapshot().since(before)
+        assert list(soa.results) == list(oracle.results) == [
+            (Variant.NO_COV, 3), (Variant.ALL, 3),
+            (Variant.NO_COV, 1), (Variant.ALL, 1),
+        ]
+        assert _query_payload(soa, confidences) == _query_payload(
+            oracle, confidences
+        )
+        assert soa_delta == oracle_delta
+        assert soa_delta.assemblies == 4
 
     def test_bad_confidence_rejected(self, service, pool):
         for bad in (0.0, 1.0, -0.5):

@@ -18,7 +18,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.api import HttpClient, Session, SessionConfig, build_server
+from repro.api import ClientConfig, HttpClient, Session, SessionConfig, build_server
 from repro.api.client import ApiError
 from repro.caching import ByteBudgetLRU
 from repro.datagen import TpchConfig, generate_tpch
@@ -387,8 +387,8 @@ def test_byte_budget_lru_stats_consistent_under_threads():
 
 def test_http_client_retries_503_with_seeded_backoff(monkeypatch):
     client = HttpClient(
-        "http://127.0.0.1:1", retries_503=3, backoff_seconds=0.05,
-        backoff_seed=42,
+        "http://127.0.0.1:1",
+        config=ClientConfig(retries_503=3, backoff_seconds=0.05, backoff_seed=42),
     )
     attempts = []
 
@@ -417,7 +417,7 @@ def test_http_client_retries_503_with_seeded_backoff(monkeypatch):
 
 
 def test_http_client_retry_budget_exhausts(monkeypatch):
-    client = HttpClient("http://127.0.0.1:1", retries_503=2)
+    client = HttpClient("http://127.0.0.1:1", config=ClientConfig(retries_503=2))
 
     def always_full(method, path, payload):
         raise ApiError(503, "over-capacity", "at capacity")
@@ -431,7 +431,7 @@ def test_http_client_retry_budget_exhausts(monkeypatch):
 
 
 def test_http_client_does_not_retry_other_errors(monkeypatch):
-    client = HttpClient("http://127.0.0.1:1", retries_503=5)
+    client = HttpClient("http://127.0.0.1:1", config=ClientConfig(retries_503=5))
     attempts = []
 
     def parse_error(method, path, payload):

@@ -396,7 +396,7 @@ class TestResolveMode:
 
 
 # ---------------------------------------------------------------------------
-# client configuration (ClientConfig + deprecation shims)
+# client configuration (ClientConfig)
 
 
 class TestClientConfig:
@@ -413,28 +413,11 @@ class TestClientConfig:
             client = HttpClient(self.URL, 5.0)
         assert client.config == ClientConfig(timeout=5.0)
 
-    def test_legacy_kwargs_warn_and_fold(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            client = HttpClient(
-                self.URL, retries_503=2, backoff_seconds=0.1, backoff_seed=7
-            )
-        assert client.config == ClientConfig(
-            retries_503=2, backoff_seconds=0.1, backoff_seed=7
-        )
-
-    def test_legacy_and_config_together_is_bad_request(self):
+    def test_bad_timeout_is_bad_request(self):
         with pytest.raises(ApiError) as caught:
-            HttpClient(self.URL, config=ClientConfig(), retries_503=1)
+            HttpClient(self.URL, 0.0)
         assert caught.value.code == "bad-request"
-        assert "retries_503" in caught.value.remote_message
-
-    def test_bad_legacy_value_keeps_bad_request_contract(self):
-        # The pre-ClientConfig constructor reported bad knobs as
-        # ApiError(bad-request); the shims must preserve that.
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ApiError) as caught:
-                HttpClient(self.URL, retries_503=-1)
-        assert caught.value.code == "bad-request"
+        assert "timeout" in caught.value.remote_message
 
     def test_json_round_trip(self):
         config = ClientConfig(
@@ -588,8 +571,10 @@ class TestClientRetryAfter:
 
     def test_hint_raises_base_to_retry_after(self):
         client = HttpClient(
-            "http://127.0.0.1:1", retries_503=3, backoff_seconds=0.05,
-            backoff_seed=42,
+            "http://127.0.0.1:1",
+            config=ClientConfig(
+                retries_503=3, backoff_seconds=0.05, backoff_seed=42
+            ),
         )
         # Same jitter stream as the pure-exponential schedule, but the
         # base for attempt 0 is lifted from 0.05s to the server's 1s.
@@ -601,8 +586,10 @@ class TestClientRetryAfter:
 
     def test_longer_exponential_base_is_not_shortened(self):
         client = HttpClient(
-            "http://127.0.0.1:1", retries_503=8, backoff_seconds=0.05,
-            backoff_seed=7,
+            "http://127.0.0.1:1",
+            config=ClientConfig(
+                retries_503=8, backoff_seconds=0.05, backoff_seed=7
+            ),
         )
         # At attempt 6 the exponential base (3.2s) exceeds the 1s hint;
         # the server hint must not make the client retry *sooner*.
@@ -614,8 +601,10 @@ class TestClientRetryAfter:
 
     def test_hint_is_capped(self):
         client = HttpClient(
-            "http://127.0.0.1:1", retries_503=1, backoff_seconds=0.05,
-            backoff_seed=3,
+            "http://127.0.0.1:1",
+            config=ClientConfig(
+                retries_503=1, backoff_seconds=0.05, backoff_seed=3
+            ),
         )
         jitter = random.Random(3).random()
         expected = RETRY_AFTER_CAP_SECONDS * (0.5 + 0.5 * jitter)
@@ -625,8 +614,10 @@ class TestClientRetryAfter:
 
     def test_no_hint_keeps_exponential_schedule(self):
         client = HttpClient(
-            "http://127.0.0.1:1", retries_503=2, backoff_seconds=0.05,
-            backoff_seed=42,
+            "http://127.0.0.1:1",
+            config=ClientConfig(
+                retries_503=2, backoff_seconds=0.05, backoff_seed=42
+            ),
         )
         rng = random.Random(42)
         expected = [

@@ -11,10 +11,12 @@ Stage 1 — single worker (the pre-fork-identical path):
 * ``POST /v1/predict`` — one TPC-H query must come back with a positive
   mean, a declared ``schema_version``, and interval bounds;
 * a malformed statement must be a structured 400 (``sql-parse``);
-* ``POST /v1/predict-batch`` with a full fan-out and one malformed
-  query must fail only that query, with ``sql-parse`` at its index,
-  and each good query's ``results`` must equal the ``/v1/predict``
-  answer for the same SQL and fan-out.
+* ``POST /v1/predict-batch`` with a full fan-out that repeats a
+  variant under two spellings and repeats an mpl, plus one malformed
+  query, must fail only that query, with ``sql-parse`` at its index;
+  each good query must carry one result per distinct (variant, mpl),
+  and its ``results`` must equal the ``/v1/predict`` answer for the
+  same SQL and fan-out.
 
 Stage 2 — cross-version interop (the v2 compatibility contract):
 
@@ -83,6 +85,13 @@ JOIN_SQL = (
 FULL_FANOUT = {
     "variants": ["all", "novar[c]", "novar[x]", "nocov"],
     "mpls": [1, 2, 4],
+    "confidences": [0.5, 0.9, 0.99],
+}
+#: The full fan-out with repeats: ``all``/``ALL`` name one variant and
+#: mpl 2 comes twice, so both endpoints must serve 4 x 3 distinct cells.
+REPEATED_FANOUT = {
+    "variants": ["all", "novar[c]", "novar[x]", "nocov", "ALL"],
+    "mpls": [1, 2, 4, 2],
     "confidences": [0.5, 0.9, 0.99],
 }
 _LISTENING = re.compile(r"listening on (http://[0-9.]+:\d+)")
@@ -184,23 +193,32 @@ def _single_worker_stage(scale: float, timeout: float) -> None:
         batch = client.request_json(
             "POST",
             "/v1/predict-batch",
-            {"queries": [SQL, "SELEC nope", JOIN_SQL], **FULL_FANOUT},
+            {"queries": [SQL, "SELEC nope", JOIN_SQL], **REPEATED_FANOUT},
         )
         (failure,) = batch["failures"]
         assert failure["index"] == 1, failure
         assert failure["code"] == "sql-parse", failure
         responses = batch["responses"]
         assert [r["sql"] for r in responses] == [SQL, JOIN_SQL], batch
+        cells = [
+            (variant.lower(), mpl)
+            for mpl in dict.fromkeys(REPEATED_FANOUT["mpls"])
+            for variant in dict.fromkeys(
+                name.lower() for name in REPEATED_FANOUT["variants"]
+            )
+        ]
         for response in responses:
             single = client.request_json(
-                "POST", "/v1/predict", {"sql": response["sql"], **FULL_FANOUT}
+                "POST", "/v1/predict", {"sql": response["sql"], **REPEATED_FANOUT}
             )
+            served = [(r["variant"], r["mpl"]) for r in response["results"]]
+            assert served == cells, (served, cells)
             assert response["results"] == single["results"], (response, single)
 
         print(
             f"http smoke ok: {url} schema v{health['schema_version']}, "
             f"mean {result['mean']:.4f}s, batch of {len(responses)} "
-            f"equal to single predicts"
+            f"equal to single predicts, {len(cells)} distinct cells each"
         )
     finally:
         _stop(proc)
