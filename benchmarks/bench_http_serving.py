@@ -28,9 +28,10 @@ import threading
 
 import pytest
 
-from repro.api import HttpClient, Session, SessionConfig, build_server
+from repro.api import HttpClient, Session, SessionConfig
 from repro.api.wire import BatchRequest
 from repro.benchreport import Metric, register
+from repro.serving import build_server
 from repro.util import ensure_rng
 from repro.workloads.tpch_templates import TPCH_TEMPLATES
 

@@ -33,7 +33,7 @@ import threading
 
 import pytest
 
-from repro.api import HttpClient, Session, SessionConfig, build_server
+from repro.api import HttpClient, Session, SessionConfig
 from repro.benchreport import Metric, register
 from repro.replay import (
     ClosedLoop,
@@ -45,6 +45,7 @@ from repro.replay import (
     parse_mix,
 )
 from repro.replay.report import calibration_under_load
+from repro.serving import build_server
 
 SETUP_CONFIG = SessionConfig(
     scale_factor=0.01,

@@ -37,7 +37,7 @@ import threading
 
 import pytest
 
-from repro.api import HttpClient, Session, SessionConfig, build_server
+from repro.api import HttpClient, Session, SessionConfig
 from repro.api.client import ApiError
 from repro.benchreport import Metric, register
 from repro.replay import (
@@ -48,7 +48,7 @@ from repro.replay import (
     WorkloadMix,
     build_schedule,
 )
-from repro.serving import WorkerPool
+from repro.serving import WorkerPool, build_server
 
 SETUP_CONFIG = SessionConfig(
     scale_factor=0.05,
@@ -103,12 +103,13 @@ def _retry_after_surfaces(session: Session) -> bool:
     server has always sent.
     """
     server = build_server(session, port=0, max_in_flight=2)
+    policy = server.app.policy
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     admitted = 0
     try:
         for _ in range(2):
-            if not server.admit():
+            if not policy.admit():
                 return False
             admitted += 1
         try:
@@ -122,7 +123,7 @@ def _retry_after_surfaces(session: Session) -> bool:
         return False
     finally:
         for _ in range(admitted):
-            server.release()
+            policy.release()
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)

@@ -16,7 +16,6 @@ Run:  python examples/replay_workload.py
 import threading
 
 from repro import HttpClient, Session, SessionConfig
-from repro.api import build_server
 from repro.replay import (
     ClosedLoop,
     HttpTarget,
@@ -28,6 +27,7 @@ from repro.replay import (
     parse_mix,
 )
 from repro.replay.report import calibration_under_load
+from repro.serving import build_server
 
 
 def main() -> None:

@@ -1,26 +1,23 @@
-"""The public serving API: session facade, wire schema, HTTP front-end.
+"""The public serving API: session facade, wire schema, HTTP client.
 
 This package is the front door everything else is built against:
 
 * :class:`Session` + :class:`SessionConfig` — the transport-agnostic
   facade owning the whole predictor stack
   (:class:`~repro.service.PredictionService` is the engine behind it);
-* :mod:`repro.api.wire` — the versioned JSON wire schema
-  (:data:`SCHEMA_VERSION`, typed requests/responses, error bodies,
-  the v2 observation vocabulary and sectioned stats snapshot);
-* :mod:`repro.api.http` / :mod:`repro.api.client` — the stdlib HTTP
-  server (``repro serve``) and the matching :class:`HttpClient`
-  (configured by one declarative :class:`ClientConfig`).
+* :mod:`repro.api.wire` — the versioned JSON wire schema: one field
+  table per record drives :func:`~repro.api.wire.encode` and
+  :func:`~repro.api.wire.decode` (:data:`SCHEMA_VERSION`, typed
+  requests/responses, error bodies, the v2 observation vocabulary and
+  sectioned stats snapshot);
+* :mod:`repro.api.client` — the stdlib :class:`HttpClient` (configured
+  by one declarative :class:`ClientConfig`) for a server that
+  :func:`repro.serving.build_server` binds (``repro serve``).
 """
-
-from typing import TYPE_CHECKING
 
 from .client import ApiError, HttpClient
 from .config import ESTIMATOR_BACKENDS, ClientConfig, SessionConfig
 from .session import Session
-
-if TYPE_CHECKING:  # resolved lazily at runtime — see __getattr__ below
-    from .http import ApiHTTPServer, build_server
 from .wire import (
     SCHEMA_VERSION,
     SUPPORTED_SCHEMA_VERSIONS,
@@ -43,7 +40,6 @@ __all__ = [
     "ESTIMATOR_BACKENDS",
     "AdmissionStats",
     "ApiError",
-    "ApiHTTPServer",
     "BatchRequest",
     "BatchResponse",
     "ClientConfig",
@@ -58,21 +54,5 @@ __all__ = [
     "Session",
     "SessionConfig",
     "StatsSnapshot",
-    "build_server",
 ]
 
-
-def __getattr__(name: str):
-    # The HTTP server names resolve lazily: repro.api.http composes the
-    # repro.serving layers, and those import the wire schema from this
-    # package — an eager import here would be a circular import. Lazy
-    # resolution keeps ``from repro.api import build_server`` working
-    # whatever the import order.
-    if name in ("ApiHTTPServer", "build_server"):
-        from . import http
-
-        return getattr(http, name)
-    # staticcheck: disable=error-taxonomy — the module-__getattr__
-    # protocol requires AttributeError (hasattr/getattr semantics);
-    # this never crosses the wire.
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,7 +1,7 @@
 """A small stdlib HTTP client for the serving front-end.
 
 :class:`HttpClient` speaks the versioned wire schema against a running
-``repro serve`` (or any :class:`~repro.api.http.ApiHTTPServer`), so a
+``repro serve`` (or any :func:`repro.serving.build_server` stack), so a
 second process can drive predictions with the same typed objects the
 in-process :class:`~repro.api.session.Session` returns::
 

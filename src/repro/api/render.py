@@ -42,8 +42,7 @@ from .wire import (
     _finite,
     check_emit_version,
     dumps,
-    query_failure_to_dict,
-    service_stats_to_dict,
+    encode,
 )
 
 __all__ = [
@@ -281,7 +280,7 @@ def batch_json(
     )
     head = "{"
     if version >= 2 and levels.feedback is not None:
-        head += '"feedback": %s, ' % dumps(levels.feedback.to_dict())
+        head += '"feedback": %s, ' % dumps(encode(levels.feedback, version))
     tail = ', "schema_version": %d, "sql": ' % version
     # One results text per plan slot; duplicate queries reuse it.
     text_of = {
@@ -303,9 +302,9 @@ def batch_json(
         '"schema_version": %d, "stats": %s}'
         % (
             _finite(columns.elapsed_seconds, "elapsed_seconds"),
-            dumps([query_failure_to_dict(f) for f in columns.failures]),
+            dumps([encode(failure) for failure in columns.failures]),
             ", ".join(responses),
             version,
-            dumps(service_stats_to_dict(columns.stats)),
+            dumps(encode(columns.stats)),
         )
     )

@@ -12,7 +12,8 @@ It exposes the typed wire objects
 
 The facade is thread-safe (one lock serializes predictions — the engine
 below shares mutable caches), which is what lets the HTTP front-end
-(:mod:`repro.api.http`) drive one session from a threaded server.
+(:func:`repro.serving.build_server`) drive one session from a threaded
+server.
 ``PredictionService`` remains fully usable directly; it is the internal
 engine, the session is the front door.
 

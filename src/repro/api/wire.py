@@ -2,37 +2,61 @@
 
 Every object that crosses a process boundary lives here: requests,
 responses, per-(variant, mpl) result payloads, confidence intervals,
-per-query failures, serving stats, and structured error bodies. Each has
-``to_dict``/``from_dict`` and round-trips **bitwise** through JSON
+per-query failures, serving stats, and structured error bodies. Each
+record type has one **field table** (the ``_table`` calls at the end of
+this module), and one encoder (:func:`encode`) and one decoder
+(:func:`decode`) read it. A record round-trips **bitwise** through JSON
 (Python's float repr is exact), which is what lets the HTTP front-end
 promise byte-identical means/variances/interval bounds to an in-process
 :class:`~repro.api.session.Session`.
+
+The tables are the schema. A row names the wire key (the dataclass
+field), its kind, its decode default (no default: the key is
+required) and the first schema version that carries it. The kinds:
+
+* ``str``, ``int`` and ``bool`` decode strictly: a JSON string, a JSON
+  integer (not ``true``, not ``1.7``), ``true``/``false``;
+* finite ``float`` decodes through ``float()`` and encodes only when
+  finite;
+* a nested record, a tuple of a kind, or an optional kind (``null``).
+
+A value of the wrong kind, or a missing required key, is a
+:class:`~repro.errors.WireError` ``bad-request`` naming the record and
+the field. The six request/response types keep ``to_dict``/``from_dict``
+as one-line calls into the codec; :class:`StatsSnapshot` (its v1 form is
+the flat report) and ``FeedbackApplied.scales`` (pairs written as
+``{confidence, scale}`` objects) add a few lines of their own to it.
 
 Versioning policy:
 
 * every top-level payload carries ``schema_version`` (currently
   :data:`SCHEMA_VERSION`);
-* readers accept every version in :data:`SUPPORTED_SCHEMA_VERSIONS`
-  and **reject** anything else (:class:`~repro.errors.WireError`, code
-  ``"schema-version"``);
-* writers can **down-convert**: every top-level ``to_dict`` takes a
-  ``version`` argument and emits exactly that version's shape — v2
-  emits the feedback/admission extensions, v1 drops them and restamps,
-  byte-identical to what a v1-era server wrote. This is how a v2
-  server answers a v1 client without the client noticing anything;
+* readers accept every version in :data:`SUPPORTED_SCHEMA_VERSIONS`,
+  **reject** anything else (:class:`~repro.errors.WireError`, code
+  ``"schema-version"``), and ignore fields newer than the declared
+  version;
+* writers can **down-convert**: :func:`encode` takes a ``version`` and
+  emits exactly that version's shape. A newer field is dropped from a
+  record the server sends, byte-identical to what a v1-era server
+  wrote — so a v2 server answers a v1 client without the client
+  noticing — and refused (``"schema-version"``) when set on a record
+  the client sends, rather than silently dropped;
 * readers **tolerate unknown fields** (ignored on decode), so additive
   evolution does not break deployed clients;
 * a payload without ``schema_version`` is assumed current — friendlier
   to hand-written curl bodies.
 
+A ``None`` field is left out of client-sent records and out of nested
+records; a ``None`` scalar in a server-sent record is written as
+``null``.
+
 Version 2 adds the online-feedback surface: :class:`Observation` /
-:class:`ObserveResponse` (the ``/v1/observe`` exchange), an optional
-``tenant`` on requests, an optional ``feedback`` annotation on
-responses whose intervals were conformally corrected, and the typed
-:class:`StatsSnapshot` whose v2 wire form carries ``admission`` and
-``feedback`` sections alongside the v1 report keys. Observation-family
-payloads are v2-only: asking for their v1 form raises rather than
-silently dropping data.
+:class:`ObserveResponse` (the ``/v1/observe`` exchange, v2-only in both
+directions), an optional ``tenant`` on requests, an optional
+``feedback`` annotation on responses whose intervals were conformally
+corrected, and the typed :class:`StatsSnapshot` whose v2 wire form
+carries ``admission``, ``scheduler`` and ``feedback`` sections alongside
+the v1 report keys.
 
 Serialization refuses NaN/inf (``allow_nan=False``): a variance-0 point
 mass serializes as ``std == 0`` with degenerate interval bounds, never
@@ -44,6 +68,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import call, itemgetter
+from typing import Any, Callable, NamedTuple
 
 from ..caching import CacheStats
 from ..core.predictor import Variant
@@ -68,23 +94,11 @@ __all__ = [
     "StatsSnapshot",
     "dumps",
     "loads",
+    "encode",
+    "decode",
     "check_schema_version",
     "check_emit_version",
     "error_body",
-    "query_failure_to_dict",
-    "query_failure_from_dict",
-    "service_stats_to_dict",
-    "service_stats_from_dict",
-    "cache_stats_to_dict",
-    "cache_stats_from_dict",
-    "service_report_to_dict",
-    "service_report_from_dict",
-    "feedback_stats_to_dict",
-    "feedback_stats_from_dict",
-    "admission_stats_to_dict",
-    "admission_stats_from_dict",
-    "scheduler_stats_to_dict",
-    "scheduler_stats_from_dict",
 ]
 
 #: The current wire schema version. Bump on any incompatible change.
@@ -93,17 +107,6 @@ SCHEMA_VERSION = 2
 #: Versions this checkout can read and write. v1 is the pre-feedback
 #: schema; v2 adds observations, tenants, and sectioned stats.
 SUPPORTED_SCHEMA_VERSIONS = (1, 2)
-
-_COUNTER_FIELDS = (
-    "queries_served",
-    "queries_failed",
-    "plans_built",
-    "prepares_run",
-    "prepare_cache_hits",
-    "assemblies",
-)
-
-_CACHE_FIELDS = ("hits", "misses", "evictions", "oversized")
 
 
 # ---------------------------------------------------------------------------
@@ -143,16 +146,9 @@ def check_schema_version(record: dict) -> int:
     current) so readers can branch on it — e.g. serve a v1-shaped
     response to a v1-shaped request.
     """
-    version = record.get("schema_version", SCHEMA_VERSION)
-    if not isinstance(version, int) or isinstance(version, bool) \
-            or version not in SUPPORTED_SCHEMA_VERSIONS:
-        supported = ", ".join(str(v) for v in SUPPORTED_SCHEMA_VERSIONS)
-        raise WireError(
-            f"unsupported schema_version {version!r}; "
-            f"this endpoint speaks versions {supported}",
-            code="schema-version",
-        )
-    return version
+    if not isinstance(record, dict):
+        raise WireError(f"expected a JSON object, got {_shown(record)}")
+    return check_emit_version(record.get("schema_version", SCHEMA_VERSION))
 
 
 def check_emit_version(version: int) -> int:
@@ -168,7 +164,7 @@ def check_emit_version(version: int) -> int:
     return version
 
 
-def _finite(value: float, what: str) -> float:
+def _finite(value: float, what: str = "value") -> float:
     value = float(value)
     if not math.isfinite(value):
         raise WireError(f"{what} must be finite, got {value!r}")
@@ -229,42 +225,12 @@ class PredictRequest:
 
     def to_dict(self, version: int = SCHEMA_VERSION) -> dict:
         """Wire form; omitted fan-out fields stay absent (server defaults)."""
-        check_emit_version(version)
-        record = {"schema_version": version, "sql": self.sql}
-        if self.variants is not None:
-            record["variants"] = list(self.variants)
-        if self.mpls is not None:
-            record["mpls"] = [int(mpl) for mpl in self.mpls]
-        if self.confidences is not None:
-            record["confidences"] = [float(c) for c in self.confidences]
-        if self.tenant is not None:
-            if version < 2:
-                raise WireError(
-                    "per-tenant requests need schema_version >= 2; "
-                    "drop the tenant or raise the wire version",
-                    code="schema-version",
-                )
-            record["tenant"] = self.tenant
-        _emit_scheduling(record, self.deadline_ms, self.priority, version)
-        return record
+        return encode(self, version)
 
     @classmethod
     def from_dict(cls, record: dict) -> "PredictRequest":
         """Decode, tolerating unknown fields, rejecting foreign versions."""
-        version = check_schema_version(record)
-        if "sql" not in record:
-            raise WireError("request needs a non-empty 'sql' string")
-        return cls(
-            sql=record["sql"],
-            variants=_optional_tuple(record.get("variants"), str, "variants"),
-            mpls=_optional_tuple(record.get("mpls"), int, "mpls"),
-            confidences=_optional_tuple(
-                record.get("confidences"), float, "confidences"
-            ),
-            tenant=record.get("tenant") if version >= 2 else None,
-            deadline_ms=record.get("deadline_ms") if version >= 2 else None,
-            priority=record.get("priority") if version >= 2 else None,
-        )
+        return decode(cls, record)
 
 
 @dataclass(frozen=True)
@@ -296,48 +262,12 @@ class BatchRequest:
 
     def to_dict(self, version: int = SCHEMA_VERSION) -> dict:
         """Wire form; omitted fan-out fields stay absent (server defaults)."""
-        check_emit_version(version)
-        record = {
-            "schema_version": version,
-            "queries": list(self.queries),
-            "skip_failures": self.skip_failures,
-        }
-        if self.variants is not None:
-            record["variants"] = list(self.variants)
-        if self.mpls is not None:
-            record["mpls"] = [int(mpl) for mpl in self.mpls]
-        if self.confidences is not None:
-            record["confidences"] = [float(c) for c in self.confidences]
-        if self.tenant is not None:
-            if version < 2:
-                raise WireError(
-                    "per-tenant requests need schema_version >= 2; "
-                    "drop the tenant or raise the wire version",
-                    code="schema-version",
-                )
-            record["tenant"] = self.tenant
-        _emit_scheduling(record, self.deadline_ms, self.priority, version)
-        return record
+        return encode(self, version)
 
     @classmethod
     def from_dict(cls, record: dict) -> "BatchRequest":
         """Decode, tolerating unknown fields, rejecting foreign versions."""
-        version = check_schema_version(record)
-        queries = record.get("queries")
-        if not isinstance(queries, (list, tuple)):
-            raise WireError("batch request needs a 'queries' list")
-        return cls(
-            queries=tuple(queries),
-            variants=_optional_tuple(record.get("variants"), str, "variants"),
-            mpls=_optional_tuple(record.get("mpls"), int, "mpls"),
-            confidences=_optional_tuple(
-                record.get("confidences"), float, "confidences"
-            ),
-            skip_failures=bool(record.get("skip_failures", True)),
-            tenant=record.get("tenant") if version >= 2 else None,
-            deadline_ms=record.get("deadline_ms") if version >= 2 else None,
-            priority=record.get("priority") if version >= 2 else None,
-        )
+        return decode(cls, record)
 
 
 def _validate_fanout(variants, mpls, confidences) -> None:
@@ -391,33 +321,6 @@ def _validate_scheduling(deadline_ms, priority) -> None:
             )
 
 
-def _emit_scheduling(record, deadline_ms, priority, version) -> None:
-    """Stamp the v2-only scheduling hints; refuse them on a v1 wire."""
-    if deadline_ms is None and priority is None:
-        return
-    if version < 2:
-        raise WireError(
-            "deadline/priority scheduling hints need schema_version >= 2; "
-            "drop them or raise the wire version",
-            code="schema-version",
-        )
-    if deadline_ms is not None:
-        record["deadline_ms"] = int(deadline_ms)
-    if priority is not None:
-        record["priority"] = int(priority)
-
-
-def _optional_tuple(value, convert, what):
-    if value is None:
-        return None
-    if not isinstance(value, (list, tuple)):
-        raise WireError(f"{what!r} must be a list")
-    try:
-        return tuple(convert(item) for item in value)
-    except (TypeError, ValueError) as error:
-        raise WireError(f"bad {what!r} entry: {error}") from None
-
-
 # ---------------------------------------------------------------------------
 # responses
 
@@ -429,23 +332,6 @@ class IntervalPayload:
     confidence: float
     low: float
     high: float
-
-    def to_dict(self) -> dict:
-        """Wire form (finite floats enforced)."""
-        return {
-            "confidence": _finite(self.confidence, "confidence"),
-            "low": _finite(self.low, "interval low"),
-            "high": _finite(self.high, "interval high"),
-        }
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "IntervalPayload":
-        """Decode one interval record."""
-        return cls(
-            confidence=float(record["confidence"]),
-            low=float(record["low"]),
-            high=float(record["high"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -474,32 +360,6 @@ class ResultPayload:
             f"{sorted(i.confidence for i in self.intervals)}"
         )
 
-    def to_dict(self) -> dict:
-        """Wire form of one fan-out cell (finite floats enforced)."""
-        return {
-            "variant": self.variant,
-            "mpl": int(self.mpl),
-            "mean": _finite(self.mean, "mean"),
-            "variance": _finite(self.variance, "variance"),
-            "std": _finite(self.std, "std"),
-            "intervals": [interval.to_dict() for interval in self.intervals],
-        }
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "ResultPayload":
-        """Decode one fan-out cell."""
-        return cls(
-            variant=str(record["variant"]),
-            mpl=int(record["mpl"]),
-            mean=float(record["mean"]),
-            variance=float(record["variance"]),
-            std=float(record["std"]),
-            intervals=tuple(
-                IntervalPayload.from_dict(item)
-                for item in record.get("intervals", [])
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class FeedbackApplied:
@@ -517,35 +377,6 @@ class FeedbackApplied:
     tenant: str
     observations: int
     scales: tuple[tuple[float, float | None], ...]
-
-    def to_dict(self) -> dict:
-        """Wire form (nested inside a v2 response, no version stamp)."""
-        return {
-            "tenant": self.tenant,
-            "observations": int(self.observations),
-            "scales": [
-                {
-                    "confidence": _finite(confidence, "confidence"),
-                    "scale": None if scale is None else _finite(scale, "scale"),
-                }
-                for confidence, scale in self.scales
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "FeedbackApplied":
-        """Rebuild the annotation, tolerating unknown fields."""
-        return cls(
-            tenant=str(record.get("tenant", DEFAULT_TENANT)),
-            observations=int(record.get("observations", 0)),
-            scales=tuple(
-                (
-                    float(item["confidence"]),
-                    None if item.get("scale") is None else float(item["scale"]),
-                )
-                for item in record.get("scales", [])
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -583,33 +414,12 @@ class PredictResponse:
 
     def to_dict(self, version: int = SCHEMA_VERSION) -> dict:
         """Wire form with the schema version stamped."""
-        check_emit_version(version)
-        record = {
-            "schema_version": version,
-            "sql": self.sql,
-            "prepare_was_cached": self.prepare_was_cached,
-            "results": [payload.to_dict() for payload in self.results],
-        }
-        if version >= 2 and self.feedback is not None:
-            record["feedback"] = self.feedback.to_dict()
-        return record
+        return encode(self, version)
 
     @classmethod
     def from_dict(cls, record: dict) -> "PredictResponse":
         """Decode, tolerating unknown fields, rejecting foreign versions."""
-        version = check_schema_version(record)
-        feedback = None
-        if version >= 2 and record.get("feedback") is not None:
-            feedback = FeedbackApplied.from_dict(record["feedback"])
-        return cls(
-            sql=str(record.get("sql", "")),
-            results=tuple(
-                ResultPayload.from_dict(item)
-                for item in record.get("results", [])
-            ),
-            prepare_was_cached=bool(record.get("prepare_was_cached", False)),
-            feedback=feedback,
-        )
+        return decode(cls, record)
 
 
 @dataclass(frozen=True)
@@ -633,135 +443,16 @@ class BatchResponse:
 
     def to_dict(self, version: int = SCHEMA_VERSION) -> dict:
         """Wire form with the schema version stamped."""
-        check_emit_version(version)
-        return {
-            "schema_version": version,
-            "responses": [
-                response.to_dict(version) for response in self.responses
-            ],
-            "failures": [
-                query_failure_to_dict(failure) for failure in self.failures
-            ],
-            "elapsed_seconds": _finite(self.elapsed_seconds, "elapsed_seconds"),
-            "stats": service_stats_to_dict(self.stats),
-        }
+        return encode(self, version)
 
     @classmethod
     def from_dict(cls, record: dict) -> "BatchResponse":
         """Decode, tolerating unknown fields, rejecting foreign versions."""
-        check_schema_version(record)
-        return cls(
-            responses=tuple(
-                PredictResponse.from_dict(item)
-                for item in record.get("responses", [])
-            ),
-            failures=tuple(
-                query_failure_from_dict(item)
-                for item in record.get("failures", [])
-            ),
-            elapsed_seconds=float(record.get("elapsed_seconds", 0.0)),
-            stats=service_stats_from_dict(record.get("stats", {})),
-        )
-
-
-# ---------------------------------------------------------------------------
-# service-layer records (failures, counters, reports)
-
-
-def query_failure_to_dict(failure: QueryFailure) -> dict:
-    """Wire form of one per-query failure."""
-    return {
-        "index": failure.index,
-        "sql": failure.sql,
-        "error": failure.error,
-        "code": failure.code,
-    }
-
-
-def query_failure_from_dict(record: dict) -> QueryFailure:
-    """Rebuild a :class:`~repro.service.QueryFailure` from its wire form."""
-    return QueryFailure(
-        index=int(record["index"]),
-        sql=record.get("sql"),
-        error=str(record.get("error", "")),
-        code=str(record.get("code", "internal")),
-    )
-
-
-def service_stats_to_dict(stats: ServiceStats) -> dict:
-    """Wire form of the cumulative serving counters.
-
-    ``prepare_hit_rate`` is included as a derived convenience field,
-    ``null`` when there was no prepare traffic (matching the in-process
-    ``None``).
-    """
-    record = {name: getattr(stats, name) for name in _COUNTER_FIELDS}
-    record["prepare_hit_rate"] = stats.prepare_hit_rate
-    return record
-
-
-def service_stats_from_dict(record: dict) -> ServiceStats:
-    """Rebuild :class:`~repro.service.ServiceStats` (derived fields ignored)."""
-    return ServiceStats(
-        **{name: int(record.get(name, 0)) for name in _COUNTER_FIELDS}
-    )
-
-
-def cache_stats_to_dict(stats: CacheStats) -> dict:
-    """Wire form of one cache layer's hit/miss counters."""
-    record = {name: getattr(stats, name) for name in _CACHE_FIELDS}
-    record["hit_rate"] = stats.hit_rate
-    return record
-
-
-def cache_stats_from_dict(record: dict) -> CacheStats:
-    """Rebuild :class:`~repro.caching.CacheStats` (derived fields ignored)."""
-    return CacheStats(
-        **{name: int(record.get(name, 0)) for name in _CACHE_FIELDS}
-    )
-
-
-def service_report_to_dict(
-    report: ServiceReport, version: int = SCHEMA_VERSION
-) -> dict:
-    """Wire form of a point-in-time :class:`~repro.service.ServiceReport`."""
-    return {
-        "schema_version": check_emit_version(version),
-        "stats": service_stats_to_dict(report.stats),
-        "prepared_cache": cache_stats_to_dict(report.prepared_cache),
-        "prepared_entries": report.prepared_entries,
-        "sampling_cache": cache_stats_to_dict(report.sampling_cache),
-        "sampling_entries": report.sampling_entries,
-        "sampling_bytes_used": report.sampling_bytes_used,
-        "sampling_bytes_budget": report.sampling_bytes_budget,
-    }
-
-
-def service_report_from_dict(record: dict) -> ServiceReport:
-    """Rebuild a :class:`~repro.service.ServiceReport` from its wire form."""
-    check_schema_version(record)
-    return ServiceReport(
-        stats=service_stats_from_dict(record.get("stats", {})),
-        prepared_cache=cache_stats_from_dict(record.get("prepared_cache", {})),
-        prepared_entries=int(record.get("prepared_entries", 0)),
-        sampling_cache=cache_stats_from_dict(record.get("sampling_cache", {})),
-        sampling_entries=int(record.get("sampling_entries", 0)),
-        sampling_bytes_used=int(record.get("sampling_bytes_used", 0)),
-        sampling_bytes_budget=int(record.get("sampling_bytes_budget", 0)),
-    )
+        return decode(cls, record)
 
 
 # ---------------------------------------------------------------------------
 # v2: observations and the sectioned stats snapshot
-
-
-def _require_v2(version: int, what: str) -> int:
-    check_emit_version(version)
-    if version < 2:
-        raise WireError(
-            f"{what} require schema_version >= 2", code="schema-version"
-        )
-    return version
 
 
 @dataclass(frozen=True)
@@ -807,48 +498,12 @@ class Observation:
 
     def to_dict(self, version: int = SCHEMA_VERSION) -> dict:
         """Wire form (v2-only — v1 has no observation vocabulary)."""
-        _require_v2(version, "observations")
-        record = {
-            "schema_version": version,
-            "sql": self.sql,
-            "actual_seconds": _finite(self.actual_seconds, "actual_seconds"),
-            "tenant": self.tenant,
-            "variant": self.variant,
-            "mpl": int(self.mpl),
-        }
-        if self.predicted_mean is not None:
-            record["predicted_mean"] = _finite(
-                self.predicted_mean, "predicted_mean"
-            )
-            record["predicted_std"] = _finite(
-                self.predicted_std, "predicted_std"
-            )
-        return record
+        return encode(self, version)
 
     @classmethod
     def from_dict(cls, record: dict) -> "Observation":
         """Decode, tolerating unknown fields, rejecting foreign versions."""
-        version = check_schema_version(record)
-        if version < 2:
-            raise WireError(
-                "observations require schema_version >= 2",
-                code="schema-version",
-            )
-        if "sql" not in record:
-            raise WireError("observation needs a non-empty 'sql' string")
-        if "actual_seconds" not in record:
-            raise WireError("observation needs 'actual_seconds'")
-        mean = record.get("predicted_mean")
-        std = record.get("predicted_std")
-        return cls(
-            sql=record["sql"],
-            actual_seconds=float(record["actual_seconds"]),
-            tenant=str(record.get("tenant", DEFAULT_TENANT)),
-            predicted_mean=None if mean is None else float(mean),
-            predicted_std=None if std is None else float(std),
-            variant=str(record.get("variant", "all")),
-            mpl=int(record.get("mpl", 1)),
-        )
+        return decode(cls, record)
 
 
 @dataclass(frozen=True)
@@ -865,85 +520,12 @@ class ObserveResponse:
 
     def to_dict(self, version: int = SCHEMA_VERSION) -> dict:
         """Wire form (v2-only)."""
-        _require_v2(version, "observe acks")
-        return {
-            "schema_version": version,
-            "tenant": self.tenant,
-            "observations": int(self.observations),
-            "window_fill": int(self.window_fill),
-            "active": bool(self.active),
-            "drift_detected": bool(self.drift_detected),
-            "drifts_total": int(self.drifts_total),
-            "scale": None if self.scale is None else _finite(self.scale, "scale"),
-        }
+        return encode(self, version)
 
     @classmethod
     def from_dict(cls, record: dict) -> "ObserveResponse":
         """Decode, tolerating unknown fields, rejecting foreign versions."""
-        version = check_schema_version(record)
-        if version < 2:
-            raise WireError(
-                "observe acks require schema_version >= 2",
-                code="schema-version",
-            )
-        scale = record.get("scale")
-        return cls(
-            tenant=str(record.get("tenant", DEFAULT_TENANT)),
-            observations=int(record.get("observations", 0)),
-            window_fill=int(record.get("window_fill", 0)),
-            active=bool(record.get("active", False)),
-            drift_detected=bool(record.get("drift_detected", False)),
-            drifts_total=int(record.get("drifts_total", 0)),
-            scale=None if scale is None else float(scale),
-        )
-
-
-def feedback_stats_to_dict(stats: FeedbackStats) -> dict:
-    """Wire form of the feedback section (nested, no version stamp)."""
-    return {
-        "observations": int(stats.observations),
-        "drifts_detected": int(stats.drifts_detected),
-        "tenants": [
-            {
-                "tenant": tenant.tenant,
-                "observations": int(tenant.observations),
-                "window_fill": int(tenant.window_fill),
-                "active": bool(tenant.active),
-                "drifts_detected": int(tenant.drifts_detected),
-                "last_drift_observation": tenant.last_drift_observation,
-                "scale": (
-                    None
-                    if tenant.scale is None
-                    else _finite(tenant.scale, "scale")
-                ),
-            }
-            for tenant in stats.tenants
-        ],
-    }
-
-
-def feedback_stats_from_dict(record: dict) -> FeedbackStats:
-    """Rebuild a :class:`~repro.feedback.FeedbackStats` section."""
-    tenants = []
-    for item in record.get("tenants", []):
-        last = item.get("last_drift_observation")
-        scale = item.get("scale")
-        tenants.append(
-            TenantFeedback(
-                tenant=str(item.get("tenant", DEFAULT_TENANT)),
-                observations=int(item.get("observations", 0)),
-                window_fill=int(item.get("window_fill", 0)),
-                active=bool(item.get("active", False)),
-                drifts_detected=int(item.get("drifts_detected", 0)),
-                last_drift_observation=None if last is None else int(last),
-                scale=None if scale is None else float(scale),
-            )
-        )
-    return FeedbackStats(
-        observations=int(record.get("observations", 0)),
-        drifts_detected=int(record.get("drifts_detected", 0)),
-        tenants=tuple(tenants),
-    )
+        return decode(cls, record)
 
 
 @dataclass(frozen=True)
@@ -954,26 +536,6 @@ class AdmissionStats:
     in_flight: int
     admitted_total: int
     refused_total: int
-
-
-def admission_stats_to_dict(stats: AdmissionStats) -> dict:
-    """Wire form of the admission section (nested, no version stamp)."""
-    return {
-        "capacity": int(stats.capacity),
-        "in_flight": int(stats.in_flight),
-        "admitted_total": int(stats.admitted_total),
-        "refused_total": int(stats.refused_total),
-    }
-
-
-def admission_stats_from_dict(record: dict) -> AdmissionStats:
-    """Rebuild an :class:`AdmissionStats` section."""
-    return AdmissionStats(
-        capacity=int(record.get("capacity", 0)),
-        in_flight=int(record.get("in_flight", 0)),
-        admitted_total=int(record.get("admitted_total", 0)),
-        refused_total=int(record.get("refused_total", 0)),
-    )
 
 
 @dataclass(frozen=True)
@@ -991,32 +553,6 @@ class SchedulerStats:
     queued_predicted_seconds: float
     dispatched_total: int
     timeouts_total: int
-
-
-def scheduler_stats_to_dict(stats: SchedulerStats) -> dict:
-    """Wire form of the scheduler section (nested, no version stamp)."""
-    return {
-        "policy": str(stats.policy),
-        "queue_depth": int(stats.queue_depth),
-        "queued_predicted_seconds": _finite(
-            stats.queued_predicted_seconds, "queued_predicted_seconds"
-        ),
-        "dispatched_total": int(stats.dispatched_total),
-        "timeouts_total": int(stats.timeouts_total),
-    }
-
-
-def scheduler_stats_from_dict(record: dict) -> SchedulerStats:
-    """Rebuild a :class:`SchedulerStats` section."""
-    return SchedulerStats(
-        policy=str(record.get("policy", "fifo")),
-        queue_depth=int(record.get("queue_depth", 0)),
-        queued_predicted_seconds=float(
-            record.get("queued_predicted_seconds", 0.0)
-        ),
-        dispatched_total=int(record.get("dispatched_total", 0)),
-        timeouts_total=int(record.get("timeouts_total", 0)),
-    )
 
 
 @dataclass(frozen=True)
@@ -1109,33 +645,461 @@ class StatsSnapshot:
 
     def to_dict(self, version: int = SCHEMA_VERSION) -> dict:
         """Wire form at ``version``; v1 drops the sections entirely."""
-        record = service_report_to_dict(self.report, version=version)
-        if version >= 2:
-            if self.admission is not None:
-                record["admission"] = admission_stats_to_dict(self.admission)
-            if self.feedback is not None:
-                record["feedback"] = feedback_stats_to_dict(self.feedback)
-            if self.scheduler is not None:
-                record["scheduler"] = scheduler_stats_to_dict(self.scheduler)
-        return record
+        return encode(self, version)
 
     @classmethod
     def from_dict(cls, record: dict) -> "StatsSnapshot":
         """Decode either version; v1 records yield section-less snapshots."""
-        version = check_schema_version(record)
-        admission = None
-        feedback = None
-        scheduler = None
-        if version >= 2:
-            if record.get("admission") is not None:
-                admission = admission_stats_from_dict(record["admission"])
-            if record.get("feedback") is not None:
-                feedback = feedback_stats_from_dict(record["feedback"])
-            if record.get("scheduler") is not None:
-                scheduler = scheduler_stats_from_dict(record["scheduler"])
-        return cls(
-            report=service_report_from_dict(record),
-            admission=admission,
-            feedback=feedback,
-            scheduler=scheduler,
+        return decode(cls, record)
+
+
+# ---------------------------------------------------------------------------
+# the codec: one field table per record, one encoder, one decoder
+
+
+def encode(record, version: int = SCHEMA_VERSION) -> dict:
+    """The wire dict of ``record`` (any wire record type) at ``version``."""
+    return _TABLES[type(record)].encode(record, version)
+
+
+def decode(cls: type, record: dict):
+    """Rebuild a ``cls`` record from its wire dict; WireError on bad input."""
+    return _TABLES[cls].decode(record)
+
+
+class _Kind(NamedTuple):
+    """How one field's values cross the wire.
+
+    ``decode`` maps a JSON value to the field's value and ``encode`` the
+    field's value (at a schema version) to a JSON value; both raise on
+    a value of the wrong kind. ``nested`` marks a record kind and
+    ``optional`` a kind that admits ``None``.
+    """
+
+    decode: Callable[[Any], Any]
+    encode: Callable[[Any, int], Any]
+    nested: bool = False
+    optional: bool = False
+
+
+#: The decode default of a required key. Every kind refuses it, so a
+#: missing required key fails like a value of the wrong kind.
+_REQUIRED = object()
+
+
+class _Field(NamedTuple):
+    """One row of a field table."""
+
+    key: str
+    kind: _Kind
+    default: Any = _REQUIRED  # a wire value, decoded like a present one
+    since: int = 1
+    derived: bool = False  # a read-only property: encoded, never decoded
+
+
+class _Table(NamedTuple):
+    fields: tuple[_Field, ...]
+    encode: Callable[[Any, int], dict]
+    decode: Callable[[Any], Any]
+
+
+#: Every wire record type's table, by type.
+_TABLES: dict[type, _Table] = {}
+
+#: What decoding or encoding a malformed value raises: the kinds' own
+#: WireErrors, the builtin converters' errors, ``.get`` on a non-object.
+_FAILURES = (
+    WireError, AttributeError, LookupError, OverflowError, TypeError, ValueError,
+)
+
+
+def _shown(value) -> str:
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _text(value):
+    if value.__class__ is str:
+        return value
+    raise WireError(f"expected a string, got {_shown(value)}")
+
+
+def _integer(value):
+    if value.__class__ is int:
+        return value
+    raise WireError(f"expected an integer, got {_shown(value)}")
+
+
+def _boolean(value):
+    if value.__class__ is bool:
+        return value
+    raise WireError(f"expected true or false, got {_shown(value)}")
+
+
+def _array(value):
+    if value.__class__ is list or value.__class__ is tuple:
+        return value
+    raise WireError(f"expected a list, got {_shown(value)}")
+
+
+def _scalar(decode, encode) -> _Kind:
+    return _Kind(decode, lambda value, version: encode(value))
+
+
+_STR = _scalar(_text, str)
+_INT = _scalar(_integer, int)
+_BOOL = _scalar(_boolean, bool)
+_FLOAT = _scalar(float, _finite)
+
+
+def _tuple(kind: _Kind) -> _Kind:
+    convert, emit = kind.decode, kind.encode
+    return _Kind(
+        lambda value: tuple(map(convert, _array(value))),
+        lambda value, version: [emit(item, version) for item in value],
+    )
+
+
+def _optional(kind: _Kind) -> _Kind:
+    convert = kind.decode
+    return _Kind(
+        lambda value: None if value is None else convert(value),
+        kind.encode,
+        kind.nested,
+        optional=True,
+    )
+
+
+def _table(
+    cls: type,
+    *fields: _Field,
+    versioned: bool = False,
+    client: bool = False,
+    since: int = 1,
+) -> _Kind:
+    """Register ``cls``'s field table; returns its kind, for nesting.
+
+    ``versioned`` records carry ``schema_version``; ``client`` marks a
+    record the client sends; ``since`` is the first version carrying
+    the record at all. Decoding builds the dataclass positionally, so
+    the non-derived rows are its fields in order, newer rows last (a
+    test pins this); a row missing from an older version's decode
+    takes the dataclass default.
+    """
+    name = cls.__name__
+
+    def encode_record(record, version: int) -> dict:
+        out = {}
+        if versioned:
+            out["schema_version"] = check_emit_version(version)
+        if version < since:
+            raise WireError(
+                f"{name} records need schema_version >= {since}",
+                code="schema-version",
+            )
+        for field in fields:
+            value = getattr(record, field.key)
+            if field.since > version:
+                if client and value is not None:
+                    raise WireError(
+                        f"{name}.{field.key} needs schema_version >= "
+                        f"{field.since}; drop it or raise the wire version",
+                        code="schema-version",
+                    )
+                continue
+            if value is None and field.kind.optional:
+                if not (client or field.kind.nested):
+                    out[field.key] = None
+                continue
+            try:
+                out[field.key] = field.kind.encode(value, version)
+            except _FAILURES as error:
+                raise _failure(name, field.key, error) from None
+        return out
+
+    # One decoder per version, over the rows that version reads. A nested
+    # record without schema_version of its own is read at the current
+    # version; its versioned parent gates it.
+    readers = {
+        version: _reader(cls, [
+            field for field in fields
+            if not field.derived and field.since <= version
+        ])
+        for version in SUPPORTED_SCHEMA_VERSIONS
+        if version >= since
+    }
+
+    if versioned:
+        def decode_record(record):
+            version = check_schema_version(record)
+            if version < since:
+                raise WireError(
+                    f"{name} records need schema_version >= {since}",
+                    code="schema-version",
+                )
+            return readers[version](record)
+    else:
+        decode_record = readers[SCHEMA_VERSION]
+    _TABLES[cls] = _Table(fields, encode_record, decode_record)
+    return _Kind(decode_record, encode_record, nested=True)
+
+
+def _reader(cls: type, fields: list[_Field]) -> Callable[[Any], Any]:
+    """The decoder building ``cls`` (positionally) from ``fields``' rows."""
+    name = cls.__name__
+    keys, converters, defaults = zip(*(
+        (field.key, field.kind.decode, field.default) for field in fields
+    ))
+    if len(keys) > 1:
+        pick = itemgetter(*keys)  # every key's value, KeyError if one is absent
+    else:
+        (key,) = keys
+
+        def pick(record):
+            return (record[key],)
+
+    def decode(record):
+        try:
+            try:
+                values = pick(record)
+            except KeyError:  # an absent key: read it as its default
+                values = map(record.get, keys, defaults)
+            return cls(*map(call, converters, values))
+        except _FAILURES as error:
+            rows = zip(keys, converters, defaults)
+            raise _decode_error(name, rows, record, error) from None
+
+    return decode
+
+
+def _failure(name: str, key: str, error: BaseException) -> WireError:
+    code = error.code if isinstance(error, WireError) else "bad-request"
+    return WireError(f"bad {name}.{key}: {error}", code=code)
+
+
+def _decode_error(name: str, rows, record, error: BaseException) -> WireError:
+    """Name the record and field a failed decode tripped on.
+
+    Runs only after a failure: it replays the rows in order, so the
+    first one that fails again is the one that failed.
+    """
+    if not isinstance(record, dict):
+        return WireError(f"{name} must be a JSON object, got {_shown(record)}")
+    for key, convert, default in rows:
+        value = record.get(key, default)
+        if value is _REQUIRED:
+            return WireError(f"{name} needs {key!r}")
+        try:
+            convert(value)
+        except _FAILURES as failed:
+            return _failure(name, key, failed)
+    # Every row converts: the dataclass's own validation refused it.
+    if isinstance(error, WireError):
+        return error
+    return WireError(f"bad {name}: {error}")
+
+
+# FeedbackApplied.scales holds (confidence, scale) pairs; the wire writes
+# each as a {"confidence", "scale"} object, with a null scale for a level
+# served its static interval.
+def _decode_scales(value) -> tuple:
+    return tuple(
+        (
+            float(item["confidence"]),
+            None if item.get("scale") is None else float(item["scale"]),
         )
+        for item in _array(value)
+    )
+
+
+def _encode_scales(scales, version: int) -> list:
+    return [
+        {
+            "confidence": _finite(confidence),
+            "scale": None if scale is None else _finite(scale),
+        }
+        for confidence, scale in scales
+    ]
+
+
+_INTERVAL = _table(
+    IntervalPayload,
+    _Field("confidence", _FLOAT),
+    _Field("low", _FLOAT),
+    _Field("high", _FLOAT),
+)
+_RESULT = _table(
+    ResultPayload,
+    _Field("variant", _STR),
+    _Field("mpl", _INT),
+    _Field("mean", _FLOAT),
+    _Field("variance", _FLOAT),
+    _Field("std", _FLOAT),
+    _Field("intervals", _tuple(_INTERVAL), []),
+)
+_FEEDBACK_APPLIED = _table(
+    FeedbackApplied,
+    _Field("tenant", _STR, DEFAULT_TENANT),
+    _Field("observations", _INT, 0),
+    _Field("scales", _Kind(_decode_scales, _encode_scales), []),
+)
+_FAILURE = _table(
+    QueryFailure,
+    _Field("index", _INT),
+    _Field("sql", _optional(_STR), None),
+    _Field("error", _STR, ""),
+    _Field("code", _STR, "internal"),
+)
+_SERVICE_STATS = _table(
+    ServiceStats,
+    _Field("queries_served", _INT, 0),
+    _Field("queries_failed", _INT, 0),
+    _Field("plans_built", _INT, 0),
+    _Field("prepares_run", _INT, 0),
+    _Field("prepare_cache_hits", _INT, 0),
+    _Field("assemblies", _INT, 0),
+    _Field("prepare_hit_rate", _optional(_FLOAT), derived=True),
+)
+_CACHE_STATS = _table(
+    CacheStats,
+    _Field("hits", _INT, 0),
+    _Field("misses", _INT, 0),
+    _Field("evictions", _INT, 0),
+    _Field("oversized", _INT, 0),
+    _Field("hit_rate", _optional(_FLOAT), derived=True),
+)
+_REPORT = _table(
+    ServiceReport,
+    _Field("stats", _SERVICE_STATS, {}),
+    _Field("prepared_cache", _CACHE_STATS, {}),
+    _Field("prepared_entries", _INT, 0),
+    _Field("sampling_cache", _CACHE_STATS, {}),
+    _Field("sampling_entries", _INT, 0),
+    _Field("sampling_bytes_used", _INT, 0),
+    _Field("sampling_bytes_budget", _INT, 0),
+    versioned=True,
+)
+_TENANT = _table(
+    TenantFeedback,
+    _Field("tenant", _STR, DEFAULT_TENANT),
+    _Field("observations", _INT, 0),
+    _Field("window_fill", _INT, 0),
+    _Field("active", _BOOL, False),
+    _Field("drifts_detected", _INT, 0),
+    _Field("last_drift_observation", _optional(_INT), None),
+    _Field("scale", _optional(_FLOAT), None),
+)
+_FEEDBACK_STATS = _table(
+    FeedbackStats,
+    _Field("observations", _INT, 0),
+    _Field("drifts_detected", _INT, 0),
+    _Field("tenants", _tuple(_TENANT), []),
+)
+_ADMISSION = _table(
+    AdmissionStats,
+    _Field("capacity", _INT, 0),
+    _Field("in_flight", _INT, 0),
+    _Field("admitted_total", _INT, 0),
+    _Field("refused_total", _INT, 0),
+)
+_SCHEDULER = _table(
+    SchedulerStats,
+    _Field("policy", _STR, "fifo"),
+    _Field("queue_depth", _INT, 0),
+    _Field("queued_predicted_seconds", _FLOAT, 0.0),
+    _Field("dispatched_total", _INT, 0),
+    _Field("timeouts_total", _INT, 0),
+)
+_table(
+    PredictRequest,
+    _Field("sql", _STR),
+    _Field("variants", _optional(_tuple(_STR)), None),
+    _Field("mpls", _optional(_tuple(_INT)), None),
+    _Field("confidences", _optional(_tuple(_FLOAT)), None),
+    _Field("tenant", _optional(_STR), None, since=2),
+    _Field("deadline_ms", _optional(_INT), None, since=2),
+    _Field("priority", _optional(_INT), None, since=2),
+    versioned=True,
+    client=True,
+)
+_table(
+    BatchRequest,
+    _Field("queries", _tuple(_STR)),
+    _Field("variants", _optional(_tuple(_STR)), None),
+    _Field("mpls", _optional(_tuple(_INT)), None),
+    _Field("confidences", _optional(_tuple(_FLOAT)), None),
+    _Field("skip_failures", _BOOL, True),
+    _Field("tenant", _optional(_STR), None, since=2),
+    _Field("deadline_ms", _optional(_INT), None, since=2),
+    _Field("priority", _optional(_INT), None, since=2),
+    versioned=True,
+    client=True,
+)
+_PREDICT_RESPONSE = _table(
+    PredictResponse,
+    _Field("sql", _STR, ""),
+    _Field("results", _tuple(_RESULT), []),
+    _Field("prepare_was_cached", _BOOL, False),
+    _Field("feedback", _optional(_FEEDBACK_APPLIED), None, since=2),
+    versioned=True,
+)
+_table(
+    BatchResponse,
+    _Field("responses", _tuple(_PREDICT_RESPONSE), []),
+    _Field("failures", _tuple(_FAILURE), []),
+    _Field("elapsed_seconds", _FLOAT, 0.0),
+    _Field("stats", _SERVICE_STATS, {}),
+    versioned=True,
+)
+_table(
+    Observation,
+    _Field("sql", _STR),
+    _Field("actual_seconds", _FLOAT),
+    _Field("tenant", _STR, DEFAULT_TENANT),
+    _Field("predicted_mean", _optional(_FLOAT), None),
+    _Field("predicted_std", _optional(_FLOAT), None),
+    _Field("variant", _STR, "all"),
+    _Field("mpl", _INT, 1),
+    versioned=True,
+    client=True,
+    since=2,
+)
+_table(
+    ObserveResponse,
+    _Field("tenant", _STR, DEFAULT_TENANT),
+    _Field("observations", _INT, 0),
+    _Field("window_fill", _INT, 0),
+    _Field("active", _BOOL, False),
+    _Field("drift_detected", _BOOL, False),
+    _Field("drifts_total", _INT, 0),
+    _Field("scale", _optional(_FLOAT), None),
+    versioned=True,
+    since=2,
+)
+_SNAPSHOT = _table(
+    StatsSnapshot,
+    _Field("report", _REPORT),
+    _Field("admission", _optional(_ADMISSION), None, since=2),
+    _Field("feedback", _optional(_FEEDBACK_STATS), None, since=2),
+    _Field("scheduler", _optional(_SCHEDULER), None, since=2),
+    versioned=True,
+)
+
+
+# A snapshot's wire form puts the report's keys at the top level beside
+# the sections, so its v1 form is the flat report a pre-feedback server
+# wrote.
+def _encode_snapshot(snapshot: StatsSnapshot, version: int) -> dict:
+    record = _SNAPSHOT.encode(snapshot, version)
+    record.update(record.pop("report"))
+    return record
+
+
+def _decode_snapshot(record: dict) -> StatsSnapshot:
+    check_schema_version(record)  # a JSON object, before it is spread
+    return _SNAPSHOT.decode({**record, "report": record})
+
+
+_TABLES[StatsSnapshot] = _TABLES[StatsSnapshot]._replace(
+    encode=_encode_snapshot, decode=_decode_snapshot
+)

@@ -530,8 +530,8 @@ def _cmd_serve(args, out) -> int:
     """
     import threading
 
-    from .api.http import build_server
     from .api.wire import SCHEMA_VERSION
+    from .serving import build_server
 
     variants = _parse_variants(args.variants)
     mpls = _parse_mpls(args.mpl)
@@ -753,7 +753,7 @@ def _cmd_replay_quick(args, out) -> int:
     """
     import threading
 
-    from .api import ClientConfig, HttpClient, build_server
+    from .api import ClientConfig, HttpClient
     from .replay import (
         HttpTarget,
         InProcessTarget,
@@ -764,6 +764,7 @@ def _cmd_replay_quick(args, out) -> int:
         parse_mix,
     )
     from .replay.report import calibration_under_load
+    from .serving import build_server
 
     mix = parse_mix("mixed")
     arrival = PoissonArrivals(rate=30.0)

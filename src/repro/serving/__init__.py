@@ -26,8 +26,9 @@ separately pluggable layers (bottom up; see ``docs/serving.md``):
   aggregation over typed snapshots (summed counters, recombined hit
   rates, merged feedback/admission sections).
 
-``repro.api.http`` remains the single-process composition of these
-layers and is unchanged on the wire.
+:func:`build_server` is the single-process composition of these layers
+(``repro serve``): one :class:`HttpTransport` over
+``AdmissionGate(SessionApp(session))``.
 """
 
 from .admission import (
@@ -47,12 +48,7 @@ from .app import (
 )
 from .pool import POOL_MODES, WorkerPool, resolve_mode
 from .routing import ROUTED_HEADER, ConsistentHashRouter, RoutedApp, Router
-from .stats import (
-    aggregate_cache_records,
-    aggregate_report_records,
-    aggregate_snapshots,
-    aggregate_stats_records,
-)
+from .stats import aggregate_report_records, aggregate_snapshots
 from .transport import (
     HttpTransport,
     ServingHandler,
@@ -79,14 +75,30 @@ __all__ = [
     "WireApp",
     "WireResponse",
     "WorkerPool",
-    "aggregate_cache_records",
     "aggregate_report_records",
     "aggregate_snapshots",
-    "aggregate_stats_records",
     "build_admission",
+    "build_server",
     "negotiated_version",
     "resolve_mode",
     "reuseport_available",
     "split_path",
     "status_for_error",
 ]
+
+
+def build_server(
+    session,
+    host: str = "127.0.0.1",
+    port: int = 0,
+    max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
+) -> HttpTransport:
+    """Bind (but do not start) one session's server; ``port=0`` is ephemeral.
+
+    The transport's ``app`` is the :class:`AdmissionGate`, whose
+    ``policy`` (:func:`build_admission`) meters the prediction
+    endpoints. Call ``serve_forever()`` on the result (typically from a
+    dedicated thread) and ``shutdown()`` + ``server_close()`` to stop.
+    """
+    policy = build_admission(session, max_in_flight)
+    return HttpTransport(AdmissionGate(SessionApp(session), policy), (host, port))

@@ -33,12 +33,7 @@ import threading
 import time
 from collections.abc import Callable
 
-from ..api.wire import (
-    AdmissionStats,
-    SchedulerStats,
-    admission_stats_to_dict,
-    scheduler_stats_to_dict,
-)
+from ..api.wire import AdmissionStats, SchedulerStats, encode
 from ..errors import WireError
 from ..feedback import DEFAULT_TENANT
 from ..scheduler import (
@@ -421,10 +416,10 @@ class AdmissionGate(WireApp):
             and response.record.get("schema_version", 1) >= 2
         ):
             record = dict(response.record)
-            record["admission"] = admission_stats_to_dict(self.policy.stats())
+            record["admission"] = encode(self.policy.stats())
             scheduler_stats = getattr(self.policy, "scheduler_stats", None)
             if scheduler_stats is not None:
-                record["scheduler"] = scheduler_stats_to_dict(scheduler_stats())
+                record["scheduler"] = encode(scheduler_stats())
             return WireResponse(200, record)
         return response
 

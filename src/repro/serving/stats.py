@@ -4,9 +4,9 @@ Each pre-fork worker owns a private session, so its stats snapshot
 covers only its own shard of the traffic. The public ``/v1/stats``
 contract is a *pool-wide* snapshot: the serving worker collects every
 peer's wire-form snapshot and recombines them here, typed end to end —
-:func:`aggregate_snapshots` is the one aggregation, and the dict-level
-helpers parse to :class:`~repro.api.wire.StatsSnapshot`, aggregate, and
-re-emit.
+:func:`aggregate_snapshots` is the one aggregation, and
+:func:`aggregate_report_records` parses wire records to
+:class:`~repro.api.wire.StatsSnapshot`, aggregates, and re-emits.
 
 Counters add; derived rates do not. ``prepare_hit_rate`` and the cache
 ``hit_rate`` fields are recomputed from the *summed* numerators and
@@ -31,6 +31,7 @@ declared, so a pool of v1-shaped reports aggregates to a v1 report.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import fields, is_dataclass
 
 from ..api.wire import (
     AdmissionStats,
@@ -38,67 +39,29 @@ from ..api.wire import (
     StatsSnapshot,
     check_schema_version,
 )
-from ..caching import CacheStats
 from ..errors import ServingError
 from ..feedback import FeedbackStats, TenantFeedback
-from ..service.service import ServiceReport, ServiceStats
+from ..service.service import ServiceReport
 
-__all__ = [
-    "aggregate_cache_records",
-    "aggregate_report_records",
-    "aggregate_snapshots",
-    "aggregate_stats_records",
-]
-
-_COUNTER_FIELDS = (
-    "queries_served",
-    "queries_failed",
-    "plans_built",
-    "prepares_run",
-    "prepare_cache_hits",
-    "assemblies",
-)
-
-_CACHE_FIELDS = ("hits", "misses", "evictions", "oversized")
-
-_GAUGE_FIELDS = (
-    "prepared_entries",
-    "sampling_entries",
-    "sampling_bytes_used",
-    "sampling_bytes_budget",
-)
+__all__ = ["aggregate_report_records", "aggregate_snapshots"]
 
 
-def _summed(records: Sequence[dict], fields: Sequence[str]) -> dict:
-    return {
-        field: sum(int(record.get(field, 0)) for record in records)
-        for field in fields
-    }
+def _summed(cls: type, parts: Sequence):
+    """One ``cls`` record whose every field sums the ``parts``' fields.
 
-
-def aggregate_stats_records(records: Sequence[dict]) -> dict:
-    """Sum wire-form service-stats dicts; recompute ``prepare_hit_rate``.
-
-    The rate comes from the summed hit and run counters — ``None`` when
-    the pool saw no prepare traffic at all.
+    Nested records (a report's counters and cache stats) sum field by
+    field too; derived rates are properties, recomputed by the result
+    from its summed counters.
     """
-    summed = _summed(records, _COUNTER_FIELDS)
-    lookups = summed["prepares_run"] + summed["prepare_cache_hits"]
-    summed["prepare_hit_rate"] = (
-        summed["prepare_cache_hits"] / lookups if lookups else None
-    )
-    return summed
-
-
-def aggregate_cache_records(records: Sequence[dict]) -> dict:
-    """Sum wire-form cache-stats dicts; recompute ``hit_rate``.
-
-    ``None`` when no worker's cache was ever consulted.
-    """
-    summed = _summed(records, _CACHE_FIELDS)
-    lookups = summed["hits"] + summed["misses"]
-    summed["hit_rate"] = summed["hits"] / lookups if lookups else None
-    return summed
+    totals = {}
+    for field in fields(cls):
+        values = [getattr(part, field.name) for part in parts]
+        totals[field.name] = (
+            _summed(type(values[0]), values)
+            if is_dataclass(values[0])
+            else sum(values)
+        )
+    return cls(**totals)
 
 
 def _merge_feedback(sections: Sequence[FeedbackStats]) -> FeedbackStats:
@@ -154,39 +117,9 @@ def aggregate_snapshots(
     """
     if not snapshots:
         raise ServingError("cannot aggregate zero stats snapshots")
-    report = ServiceReport(
-        stats=ServiceStats(
-            **{
-                field: sum(getattr(s.stats, field) for s in snapshots)
-                for field in _COUNTER_FIELDS
-            }
-        ),
-        prepared_cache=CacheStats(
-            **{
-                field: sum(getattr(s.prepared_cache, field) for s in snapshots)
-                for field in _CACHE_FIELDS
-            }
-        ),
-        prepared_entries=sum(s.prepared_entries for s in snapshots),
-        sampling_cache=CacheStats(
-            **{
-                field: sum(getattr(s.sampling_cache, field) for s in snapshots)
-                for field in _CACHE_FIELDS
-            }
-        ),
-        sampling_entries=sum(s.sampling_entries for s in snapshots),
-        sampling_bytes_used=sum(s.sampling_bytes_used for s in snapshots),
-        sampling_bytes_budget=sum(s.sampling_bytes_budget for s in snapshots),
-    )
+    report = _summed(ServiceReport, [s.report for s in snapshots])
     admissions = [s.admission for s in snapshots if s.admission is not None]
-    admission = None
-    if admissions:
-        admission = AdmissionStats(
-            capacity=sum(a.capacity for a in admissions),
-            in_flight=sum(a.in_flight for a in admissions),
-            admitted_total=sum(a.admitted_total for a in admissions),
-            refused_total=sum(a.refused_total for a in admissions),
-        )
+    admission = _summed(AdmissionStats, admissions) if admissions else None
     feedbacks = [s.feedback for s in snapshots if s.feedback is not None]
     feedback = _merge_feedback(feedbacks) if feedbacks else None
     schedulers = [s.scheduler for s in snapshots if s.scheduler is not None]
@@ -218,7 +151,7 @@ def aggregate_report_records(records: Sequence[dict]) -> dict:
 
     The result is emitted at the highest schema version any input
     declared: v1 inputs yield exactly the flat single-server report
-    (so :func:`repro.api.wire.service_report_from_dict` parses it), v2
+    (so ``decode(ServiceReport, record)`` parses it), v2
     inputs keep their sections. Either way every counter and gauge is
     summed and every hit rate recomputed from the summed counters.
     """

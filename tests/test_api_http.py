@@ -7,19 +7,14 @@ the in-process :class:`repro.api.Session`, the acceptance criterion of
 the serving front-end.
 """
 
+import json
 import threading
+import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.api import (
-    ApiError,
-    HttpClient,
-    Session,
-    SessionConfig,
-    build_server,
-)
-from repro.api.http import status_for_error
+from repro.api import ApiError, HttpClient, Session, SessionConfig
 from repro.api.wire import (
     SCHEMA_VERSION,
     BatchRequest,
@@ -33,6 +28,7 @@ from repro.errors import (
     SqlParseError,
     WireError,
 )
+from repro.serving import build_server, status_for_error
 from repro.util import ensure_rng
 from repro.workloads.tpch_templates import TPCH_TEMPLATES
 
@@ -179,6 +175,38 @@ class TestErrorTaxonomy:
         assert status_for_error(ReproError("x")) == 422
         assert status_for_error(RuntimeError("x")) == 500
 
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/v1/predict", '{"sql": "%s", "mpls": [1e999]}' % SQL),
+            ("/v1/predict", '{"sql": "%s", "mpls": [1.7]}' % SQL),
+            ("/v1/predict-batch", '{"queries": ["%s"], "mpls": [Infinity]}' % SQL),
+            ("/v1/predict-batch", '{"queries": ["%s"], "skip_failures": "no"}' % SQL),
+            ("/v1/observe", '{"sql": "%s", "actual_seconds": "x"}' % SQL),
+            ("/v1/observe", '{"sql": "%s", "actual_seconds": [1]}' % SQL),
+            ("/v1/observe", '{"sql": "%s", "actual_seconds": 1, "mpl": "x"}' % SQL),
+            ("/v1/observe", '{"sql": "%s", "actual_seconds": 1, "mpl": 1e999}' % SQL),
+        ],
+        ids=[
+            "predict-mpl-overflow", "predict-mpl-fraction",
+            "batch-mpl-infinity", "batch-skip-failures-string",
+            "observe-actual-string", "observe-actual-list",
+            "observe-mpl-string", "observe-mpl-overflow",
+        ],
+    )
+    def test_malformed_fields_are_400_not_500(self, server, path, body):
+        """A field of the wrong kind is a payload error, never a 500 or a
+        silent misreading (``1.7`` is not an mpl, ``"no"`` not a bool)."""
+        request = urllib.request.Request(
+            f"{server.url}{path}", data=body.encode(), method="POST"
+        )
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(request, timeout=30)
+        record = json.loads(caught.value.read())
+        assert caught.value.code == 400
+        assert record["error"]["code"] == "bad-request"
+        assert server.app.policy.stats().in_flight == 0
+
     def test_unknown_table_is_422_catalog(self, client):
         # Parseable SQL the catalog refuses: a library error, not a 500.
         with pytest.raises(ApiError) as caught:
@@ -269,10 +297,11 @@ class TestObserveLoop:
 class TestAdmission:
     def test_over_capacity_is_503_with_retry_after(self, server, client):
         # Deterministic: drain every admission slot directly, then ask.
+        policy = server.app.policy
         taken = 0
-        while server.admit():
+        while policy.admit():
             taken += 1
-        assert taken == server.max_in_flight
+        assert taken == policy.capacity == 4
         try:
             with pytest.raises(ApiError) as caught:
                 client.predict(SQL)
@@ -280,20 +309,21 @@ class TestAdmission:
             assert caught.value.code == "over-capacity"
         finally:
             for _ in range(taken):
-                server.release()
+                policy.release()
         # slots restored: serving works again
         assert client.predict(SQL).results
 
     def test_health_probes_never_metered(self, server, client):
+        policy = server.app.policy
         taken = 0
-        while server.admit():
+        while policy.admit():
             taken += 1
         try:
             assert client.healthz()["status"] == "ok"
             assert client.stats().stats.queries_served >= 1
         finally:
             for _ in range(taken):
-                server.release()
+                policy.release()
 
     def test_concurrent_batches_agree_with_serial(self, client, session):
         """4 threads x same batch: every response bitwise-identical."""

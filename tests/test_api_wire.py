@@ -6,10 +6,12 @@ lossless), tolerate unknown fields, refuse foreign schema versions, and
 never emit NaN/inf (a variance-0 point mass serializes as plain zeros).
 """
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.api import wire
 from repro.api.wire import (
     SCHEMA_VERSION,
     SUPPORTED_SCHEMA_VERSIONS,
@@ -24,21 +26,13 @@ from repro.api.wire import (
     PredictResponse,
     ResultPayload,
     StatsSnapshot,
-    cache_stats_from_dict,
-    cache_stats_to_dict,
     check_emit_version,
     check_schema_version,
+    decode,
     dumps,
+    encode,
     error_body,
-    feedback_stats_from_dict,
-    feedback_stats_to_dict,
     loads,
-    query_failure_from_dict,
-    query_failure_to_dict,
-    service_report_from_dict,
-    service_report_to_dict,
-    service_stats_from_dict,
-    service_stats_to_dict,
 )
 from repro.feedback import FeedbackStats, TenantFeedback
 from repro.caching import CacheStats
@@ -154,7 +148,7 @@ class TestResponses:
             std=1.0, intervals=(),
         )
         with pytest.raises(WireError):
-            payload.to_dict()
+            encode(payload)
         with pytest.raises(WireError):
             dumps({"schema_version": SCHEMA_VERSION, "value": float("inf")})
 
@@ -207,7 +201,7 @@ class TestSchemaVersion:
             Observation.from_dict,
             ObserveResponse.from_dict,
             StatsSnapshot.from_dict,
-            service_report_from_dict,
+            lambda record: decode(ServiceReport, record),
         ):
             with pytest.raises(WireError):
                 reader(dict(foreign))
@@ -219,31 +213,31 @@ class TestServiceRecords:
             index=3, sql="SELEC nope",
             error="SqlParseError: expected SELECT", code="sql-parse",
         )
-        assert query_failure_from_dict(rt(query_failure_to_dict(failure))) == failure
+        assert decode(QueryFailure, rt(encode(failure))) == failure
 
     def test_query_failure_none_sql(self):
         failure = QueryFailure(index=0, sql=None, error="boom")
-        decoded = query_failure_from_dict(rt(query_failure_to_dict(failure)))
+        decoded = decode(QueryFailure, rt(encode(failure)))
         assert decoded.sql is None and decoded.code == "internal"
 
     def test_service_stats_round_trip_and_null_hit_rate(self):
         idle = ServiceStats()
-        record = rt(service_stats_to_dict(idle))
+        record = rt(encode(idle))
         assert record["prepare_hit_rate"] is None  # JSON null, not 0.0
-        assert service_stats_from_dict(record) == idle
+        assert decode(ServiceStats, record) == idle
 
         busy = ServiceStats(
             queries_served=7, queries_failed=1, plans_built=4,
             prepares_run=3, prepare_cache_hits=9, assemblies=28,
         )
-        record = rt(service_stats_to_dict(busy))
+        record = rt(encode(busy))
         assert record["prepare_hit_rate"] == pytest.approx(9 / 12)
-        assert service_stats_from_dict(record) == busy
+        assert decode(ServiceStats, record) == busy
 
     def test_cache_stats_round_trip(self):
         stats = CacheStats(hits=5, misses=3, evictions=2, oversized=1)
-        assert cache_stats_from_dict(rt(cache_stats_to_dict(stats))) == stats
-        assert rt(cache_stats_to_dict(CacheStats()))["hit_rate"] is None
+        assert decode(CacheStats, rt(encode(stats))) == stats
+        assert rt(encode(CacheStats()))["hit_rate"] is None
 
     def test_service_report_round_trip(self):
         report = ServiceReport(
@@ -255,7 +249,7 @@ class TestServiceRecords:
             sampling_bytes_used=4096,
             sampling_bytes_budget=1 << 20,
         )
-        decoded = service_report_from_dict(rt(service_report_to_dict(report)))
+        decoded = decode(ServiceReport, rt(encode(report)))
         assert decoded == report
         # and the rendering helpers still work on the decoded copy
         assert "prepared cache" in "\n".join(decoded.cache_lines())
@@ -435,7 +429,7 @@ class TestCrossVersion:
         )
         # v1: exactly the flat report a pre-feedback server wrote
         v1 = snapshot.to_dict(1)
-        assert dumps(v1) == dumps(service_report_to_dict(report, version=1))
+        assert dumps(v1) == dumps(encode(report, version=1))
         decoded_v1 = StatsSnapshot.from_dict(rt(v1))
         assert decoded_v1.admission is None and decoded_v1.feedback is None
         assert decoded_v1.report == report
@@ -446,7 +440,7 @@ class TestCrossVersion:
 
     def test_feedback_section_round_trip(self):
         stats = sample_feedback_stats()
-        assert feedback_stats_from_dict(rt(feedback_stats_to_dict(stats))) == stats
+        assert decode(FeedbackStats, rt(encode(stats))) == stats
 
     def test_error_bodies_stamp_the_requested_version(self):
         body = error_body(WireError("nope"), version=1)
@@ -462,3 +456,94 @@ class TestCrossVersion:
                 record = rt(response.to_dict(version))
                 assert record["schema_version"] == version
                 assert PredictResponse.from_dict(record) == response
+
+
+class TestFieldTables:
+    """One table per record drives both directions, so it must be whole."""
+
+    def test_every_wire_record_has_a_table(self):
+        assert set(wire._TABLES) == {
+            PredictRequest, BatchRequest, IntervalPayload, ResultPayload,
+            FeedbackApplied, PredictResponse, BatchResponse, QueryFailure,
+            ServiceStats, CacheStats, ServiceReport, TenantFeedback,
+            FeedbackStats, AdmissionStats, wire.SchedulerStats, Observation,
+            ObserveResponse, StatsSnapshot,
+        }
+
+    @pytest.mark.parametrize("cls", list(wire._TABLES), ids=lambda c: c.__name__)
+    def test_rows_match_dataclass_fields_in_order(self, cls):
+        rows = [field for field in wire._TABLES[cls].fields if not field.derived]
+        assert [row.key for row in rows] == [
+            field.name for field in dataclasses.fields(cls)
+        ]
+        # Decoding is positional: an older version reads a prefix of the
+        # rows and leaves the newer, trailing ones at their defaults.
+        versions = [row.since for row in rows]
+        assert versions == sorted(versions)
+
+    def test_derived_rows_are_encoded_never_decoded(self):
+        busy = ServiceStats(prepares_run=1, prepare_cache_hits=3)
+        record = encode(busy)
+        assert record["prepare_hit_rate"] == 0.75
+        record["prepare_hit_rate"] = "ignored"
+        assert decode(ServiceStats, record) == busy
+
+
+class TestKinds:
+    """JSON values of the wrong kind are 400s naming record and field."""
+
+    @pytest.mark.parametrize(
+        "cls, record, field",
+        [
+            (PredictRequest, {"sql": "S", "mpls": [1.7]}, "mpls"),
+            (PredictRequest, {"sql": "S", "mpls": [True]}, "mpls"),
+            (PredictRequest, {"sql": "S", "mpls": [float("inf")]}, "mpls"),
+            (PredictRequest, {"sql": "S", "variants": [1]}, "variants"),
+            (PredictRequest, {"sql": "S", "confidences": ["x"]}, "confidences"),
+            (PredictRequest, {"sql": ["S"]}, "sql"),
+            (PredictRequest, {"sql": "S", "tenant": 7}, "tenant"),
+            (PredictRequest, {"sql": "S", "deadline_ms": 2.5}, "deadline_ms"),
+            (BatchRequest, {"queries": ["S"], "skip_failures": "no"}, "skip_failures"),
+            (BatchRequest, {"queries": ["S"], "skip_failures": 0}, "skip_failures"),
+            (BatchRequest, {"queries": "S"}, "queries"),
+            (Observation, {"sql": "S", "actual_seconds": "x"}, "actual_seconds"),
+            (Observation, {"sql": "S", "actual_seconds": [1]}, "actual_seconds"),
+            (Observation, {"sql": "S", "actual_seconds": 1, "mpl": "x"}, "mpl"),
+            (Observation, {"sql": "S", "actual_seconds": 1, "mpl": 1e300}, "mpl"),
+            (ObserveResponse, {"active": "yes"}, "active"),
+        ],
+    )
+    def test_wrong_kind_names_the_field(self, cls, record, field):
+        with pytest.raises(WireError) as caught:
+            cls.from_dict(record)
+        assert caught.value.code == "bad-request"
+        assert f"{cls.__name__}.{field}" in str(caught.value)
+
+    def test_missing_required_key_names_it(self):
+        with pytest.raises(WireError) as caught:
+            Observation.from_dict({"sql": "SELECT 1"})
+        assert caught.value.code == "bad-request"
+        assert "Observation needs 'actual_seconds'" in str(caught.value)
+
+    def test_nested_failure_names_the_innermost_field(self):
+        record = BatchResponse(
+            responses=(random_response(ensure_rng(2)),), failures=(),
+            elapsed_seconds=0.5, stats=ServiceStats(),
+        ).to_dict()
+        record["responses"][0]["results"][1]["intervals"][0]["low"] = "low"
+        with pytest.raises(WireError) as caught:
+            BatchResponse.from_dict(record)
+        assert caught.value.code == "bad-request"
+        assert "IntervalPayload.low" in str(caught.value)
+        record["responses"][0]["schema_version"] = 9
+        with pytest.raises(WireError) as caught:
+            BatchResponse.from_dict(record)
+        assert caught.value.code == "schema-version"
+
+    def test_well_formed_values_decode_unchanged(self):
+        request = PredictRequest.from_dict(
+            {"sql": "S", "mpls": [1, 4], "confidences": [0.5, 1e-3],
+             "deadline_ms": 5, "priority": -2}
+        )
+        assert request.mpls == (1, 4) and request.confidences == (0.5, 0.001)
+        assert (request.deadline_ms, request.priority) == (5, -2)

@@ -18,7 +18,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.api import ClientConfig, HttpClient, Session, SessionConfig, build_server
+from repro.api import ClientConfig, HttpClient, Session, SessionConfig
 from repro.api.client import ApiError
 from repro.caching import ByteBudgetLRU
 from repro.datagen import TpchConfig, generate_tpch
@@ -42,6 +42,7 @@ from repro.replay import (
     run_feedback_loop,
 )
 from repro.replay.report import calibration_under_load
+from repro.serving import build_server
 
 SESSION_CONFIG = SessionConfig(
     scale_factor=0.01,

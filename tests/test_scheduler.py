@@ -21,8 +21,8 @@ from repro.api.wire import (
     PredictRequest,
     SchedulerStats,
     StatsSnapshot,
-    scheduler_stats_from_dict,
-    scheduler_stats_to_dict,
+    decode,
+    encode,
 )
 from repro.errors import SchedulerError, SessionError, WireError, error_code
 from repro.scheduler import (
@@ -664,9 +664,7 @@ class TestSchedulingWireFields:
             dispatched_total=17,
             timeouts_total=2,
         )
-        assert scheduler_stats_from_dict(scheduler_stats_to_dict(stats)) == (
-            stats
-        )
+        assert decode(SchedulerStats, encode(stats)) == stats
 
     def test_snapshot_scheduler_section_is_v2_only(self, tpch_db, calibrated_units):
         session = Session.from_components(

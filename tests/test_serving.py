@@ -28,21 +28,21 @@ from repro.api.wire import (
     AdmissionStats,
     BatchRequest,
     StatsSnapshot,
-    admission_stats_to_dict,
+    decode,
     dumps,
-    feedback_stats_to_dict,
+    encode,
     loads,
-    service_report_from_dict,
 )
+from repro.caching import CacheStats
 from repro.errors import ServingError, SessionError, WireError, error_code
 from repro.feedback import FeedbackStats, TenantFeedback
+from repro.service import ServiceReport
 from repro.service.cache import plan_signature_hash
 from repro.serving import (
     BoundedInFlight,
     ConsistentHashRouter,
     aggregate_report_records,
     aggregate_snapshots,
-    aggregate_stats_records,
     resolve_mode,
 )
 from repro.serving import pool as pool_module
@@ -239,7 +239,7 @@ class TestStatsAggregation:
         merged = aggregate_report_records(
             [_report_record(served=3, plans=3), _report_record(served=4, plans=4)]
         )
-        report = service_report_from_dict(merged)
+        report = decode(ServiceReport, merged)
         assert report.stats.queries_served == 7
 
     def test_empty_input_raises_serving_error(self):
@@ -247,18 +247,21 @@ class TestStatsAggregation:
             aggregate_report_records([])
 
     def test_stats_records_missing_fields_default_to_zero(self):
-        merged = aggregate_stats_records([{}, {"queries_served": 3}])
-        assert merged["queries_served"] == 3
-        assert merged["prepare_hit_rate"] is None
+        merged = aggregate_report_records(
+            [{"schema_version": 1}, {"stats": {"queries_served": 3}}]
+        )
+        assert merged["stats"]["queries_served"] == 3
+        assert merged["stats"]["prepare_hit_rate"] is None
+        assert merged["prepared_cache"] == encode(CacheStats())
 
 
 def _v2_record(served=0, admission=None, feedback=None, **kwargs):
     record = _report_record(served=served, **kwargs)
     record["schema_version"] = 2
     if admission is not None:
-        record["admission"] = admission_stats_to_dict(admission)
+        record["admission"] = encode(admission)
     if feedback is not None:
-        record["feedback"] = feedback_stats_to_dict(feedback)
+        record["feedback"] = encode(feedback)
     return record
 
 

@@ -11,6 +11,10 @@ Stage 1 — single worker (the pre-fork-identical path):
 * ``POST /v1/predict`` — one TPC-H query must come back with a positive
   mean, a declared ``schema_version``, and interval bounds;
 * a malformed statement must be a structured 400 (``sql-parse``);
+* a field of the wrong kind — ``"mpls": [1e999]`` on ``/v1/predict``,
+  ``"actual_seconds": "x"`` on ``/v1/observe`` — must be a structured
+  400 (``bad-request``), after which a well-formed predict still
+  answers 200 with the same numbers;
 * ``POST /v1/predict-batch`` with a full fan-out that repeats a
   variant under two spellings and repeats an mpl, plus one malformed
   query, must fail only that query, with ``sql-parse`` at its index;
@@ -60,6 +64,7 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -158,6 +163,16 @@ def _wait_for_url(
     )
 
 
+def _post_raw(url: str, path: str, body: str, timeout: float):
+    """POST ``body`` verbatim (non-finite numbers included); (status, JSON)."""
+    request = urllib.request.Request(url + path, data=body.encode(), method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as reply:
+            return reply.status, loads(reply.read())
+    except urllib.error.HTTPError as error:
+        return error.code, loads(error.read())
+
+
 def _stop(proc: subprocess.Popen) -> None:
     proc.terminate()
     try:
@@ -189,6 +204,16 @@ def _single_worker_stage(scale: float, timeout: float) -> None:
             assert error.code == "sql-parse", error
         else:
             raise AssertionError("malformed SQL did not produce a 400")
+
+        for path, raw in (
+            ("/v1/predict", '{"sql": "%s", "mpls": [1e999]}' % SQL),
+            ("/v1/observe", '{"sql": "%s", "actual_seconds": "x"}' % SQL),
+        ):
+            status, refused = _post_raw(url, path, raw, timeout)
+            assert status == 400, (path, status, refused)
+            assert refused["error"]["code"] == "bad-request", (path, refused)
+        again = client.request_json("POST", "/v1/predict", {"sql": SQL})
+        assert again["results"] == body["results"], (again, body)
 
         batch = client.request_json(
             "POST",
