@@ -80,6 +80,7 @@ from ..service.service import QueryFailure, ServiceReport, ServiceStats
 __all__ = [
     "SCHEMA_VERSION",
     "SUPPORTED_SCHEMA_VERSIONS",
+    "MAX_MPL",
     "PredictRequest",
     "BatchRequest",
     "IntervalPayload",
@@ -107,6 +108,14 @@ SCHEMA_VERSION = 2
 #: Versions this checkout can read and write. v1 is the pre-feedback
 #: schema; v2 adds observations, tenants, and sectioned stats.
 SUPPORTED_SCHEMA_VERSIONS = (1, 2)
+
+#: The highest multiprogramming level a request or observation may name.
+#: Eight times the largest level the repo models (8, ``bench_concurrency``):
+#: the interference model is linear in the neighbour count, so far larger
+#: levels only produce huge intervals (``2**70`` gave highs of ~2.7e38),
+#: and each distinct level keeps one loaded predictor for the life of the
+#: service, so the bound also bounds that cache.
+MAX_MPL = 64
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +228,9 @@ class PredictRequest:
     def __post_init__(self):
         if not isinstance(self.sql, str) or not self.sql.strip():
             raise WireError("request needs a non-empty 'sql' string")
-        _validate_fanout(self.variants, self.mpls, self.confidences)
+        _validate_fanout(
+            self.variants, self.mpls, self.confidences, "PredictRequest.mpls"
+        )
         _validate_tenant(self.tenant)
         _validate_scheduling(self.deadline_ms, self.priority)
 
@@ -256,7 +267,9 @@ class BatchRequest:
         for sql in self.queries:
             if not isinstance(sql, str) or not sql.strip():
                 raise WireError("every batch query must be a non-empty string")
-        _validate_fanout(self.variants, self.mpls, self.confidences)
+        _validate_fanout(
+            self.variants, self.mpls, self.confidences, "BatchRequest.mpls"
+        )
         _validate_tenant(self.tenant)
         _validate_scheduling(self.deadline_ms, self.priority)
 
@@ -270,13 +283,14 @@ class BatchRequest:
         return decode(cls, record)
 
 
-def _validate_fanout(variants, mpls, confidences) -> None:
+def _validate_fanout(variants, mpls, confidences, mpl_field="mpls") -> None:
     """Reject an invalid requested fan-out as a payload error.
 
     Raising :class:`WireError` here (not the engine's PredictionError /
     SessionError deeper down) is what keeps the HTTP contract honest:
     a client sending an unknown variant or ``mpl: 0`` gets a 400
-    ``bad-request``, not a 422 internal-looking failure.
+    ``bad-request``, not a 422 internal-looking failure. ``mpl_field``
+    names the levels' field in the message.
     """
     if variants is not None:
         try:
@@ -284,9 +298,9 @@ def _validate_fanout(variants, mpls, confidences) -> None:
                 Variant.from_name(name)
         except PredictionError as error:
             raise WireError(str(error)) from None
-    if mpls is not None and any(mpl < 1 for mpl in mpls):
+    if mpls is not None and any(not 1 <= mpl <= MAX_MPL for mpl in mpls):
         raise WireError(
-            f"multiprogramming levels must all be >= 1, got {list(mpls)}"
+            f"{mpl_field}: multiprogramming levels must lie in [1, {MAX_MPL}]"
         )
     if confidences is not None and any(
         not 0.0 < c < 1.0 for c in confidences
@@ -494,7 +508,7 @@ class Observation:
                 raise WireError(
                     f"predicted_std must be >= 0, got {self.predicted_std}"
                 )
-        _validate_fanout((self.variant,), (self.mpl,), None)
+        _validate_fanout((self.variant,), (self.mpl,), None, "Observation.mpl")
 
     def to_dict(self, version: int = SCHEMA_VERSION) -> dict:
         """Wire form (v2-only — v1 has no observation vocabulary)."""

@@ -20,7 +20,7 @@ from ..sql.ast import (
     Literal,
     Query,
 )
-from ..storage import Database
+from ..storage import ColumnType, Database
 from .expressions import AggSpec, ScalarExpr, compile_scalar
 from .predicates import (
     ColumnComparePredicate,
@@ -90,7 +90,7 @@ class _Resolver:
     """Maps column references to ``(alias, column)`` pairs."""
 
     def __init__(self, query: Query, database: Database):
-        self._by_alias: dict[str, set[str]] = {}
+        self._by_alias: dict[str, dict[str, ColumnType]] = {}
         self.tables: dict[str, str] = {}
         for ref in query.tables:
             alias = ref.effective_name
@@ -98,7 +98,10 @@ class _Resolver:
                 raise PlanError(f"duplicate table alias: {alias!r}")
             table = database.table(ref.table)
             self.tables[alias] = ref.table
-            self._by_alias[alias] = set(table.schema.names)
+            self._by_alias[alias] = {c.name: c.ctype for c in table.schema}
+
+    def is_text(self, alias: str, column: str) -> bool:
+        return self._by_alias[alias][column] is ColumnType.STR
 
     def resolve(self, ref: ColumnRef) -> tuple[str, str]:
         if ref.qualifier is not None:
@@ -186,11 +189,32 @@ def bind_query(query: Query, database: Database) -> BoundQuery:
     )
 
 
+def _check_literals(resolver, alias: str, column: str, literals) -> None:
+    """Refuse literals that cannot compare with the column's values.
+
+    String columns compare with string literals; numeric and date
+    columns (dates are day numbers) with number and DATE literals.
+    """
+    is_text = resolver.is_text(alias, column)
+    for literal in literals:
+        if (literal.kind == "string") != is_text:
+            kind = "a string" if is_text else "a number or date"
+            shown = "a DATE literal" if literal.kind == "date" else repr(literal.value)
+            raise PlanError(f"{alias}.{column} compares with {kind}, not {shown}")
+
+
 def _bind_predicate(predicate, resolver, scan_predicates, join_edges, cross_filters):
     if isinstance(predicate, Comparison):
         left_alias, left_column = resolver.resolve(predicate.left)
         if isinstance(predicate.right, ColumnRef):
             right_alias, right_column = resolver.resolve(predicate.right)
+            if resolver.is_text(left_alias, left_column) != resolver.is_text(
+                right_alias, right_column
+            ):
+                raise PlanError(
+                    f"cannot compare {left_alias}.{left_column} with "
+                    f"{right_alias}.{right_column}: one is a string column"
+                )
             if left_alias == right_alias:
                 scan_predicates[left_alias].append(
                     ColumnPairScanPredicate(
@@ -218,6 +242,7 @@ def _bind_predicate(predicate, resolver, scan_predicates, join_edges, cross_filt
             return
         if not isinstance(predicate.right, Literal):
             raise PlanError(f"unsupported comparison operand: {predicate.right!r}")
+        _check_literals(resolver, left_alias, left_column, [predicate.right])
         scan_predicates[left_alias].append(
             ScanPredicate(
                 alias=left_alias,
@@ -229,6 +254,7 @@ def _bind_predicate(predicate, resolver, scan_predicates, join_edges, cross_filt
         return
     if isinstance(predicate, Between):
         alias, column = resolver.resolve(predicate.column)
+        _check_literals(resolver, alias, column, [predicate.low, predicate.high])
         scan_predicates[alias].append(
             ScanPredicate(
                 alias=alias,
@@ -240,6 +266,7 @@ def _bind_predicate(predicate, resolver, scan_predicates, join_edges, cross_filt
         return
     if isinstance(predicate, InList):
         alias, column = resolver.resolve(predicate.column)
+        _check_literals(resolver, alias, column, predicate.values)
         scan_predicates[alias].append(
             ScanPredicate(
                 alias=alias,
@@ -251,6 +278,8 @@ def _bind_predicate(predicate, resolver, scan_predicates, join_edges, cross_filt
         return
     if isinstance(predicate, LikePrefix):
         alias, column = resolver.resolve(predicate.column)
+        if not resolver.is_text(alias, column):
+            raise PlanError(f"LIKE needs a string column, not {alias}.{column}")
         scan_predicates[alias].append(
             ScanPredicate(
                 alias=alias,

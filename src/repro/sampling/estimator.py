@@ -13,6 +13,15 @@ paper's data-provenance trick. From those:
 The per-relation components ``v_k / n_k`` are retained: restricted sums
 over shared relations give the S^2_{n,m} quantities behind the tighter
 covariance bound B1 (Theorem 7).
+
+Provenance is also all a sample intermediate carries. A row of the
+sample join result *is* its tuple of sample positions, so the pass
+never copies a column: it gathers ``alias.column`` at the surviving
+positions from the materialized sample table
+(:meth:`~repro.sampling.sample_db.SampleDatabase.sample_column`) only
+where a scan or filter predicate, a join key, or a GEE group key reads
+it. The modelled sample-run counts still describe the paper's scan of
+full sample-table rows.
 """
 
 from __future__ import annotations
@@ -103,27 +112,22 @@ class SamplingEstimate:
 
 @dataclass
 class _SampleIntermediate:
-    """Sample rows with provenance: alias -> sample-tuple positions."""
+    """Sample rows as provenance only: alias -> sample-tuple positions.
 
-    columns: dict[str, np.ndarray]
+    Row ``i`` is the sample tuple at ``provenance[alias][i]`` of each
+    alias's sample table; column values are gathered from those
+    positions where they are read, never stored.
+    """
+
     provenance: dict[str, np.ndarray]
     num_rows: int
 
-    def select(self, mask: np.ndarray) -> "_SampleIntermediate":
+    def take(self, rows: np.ndarray) -> "_SampleIntermediate":
+        """The rows at the given indices, in that order."""
         return _SampleIntermediate(
-            columns={k: v[mask] for k, v in self.columns.items()},
-            provenance={k: v[mask] for k, v in self.provenance.items()},
-            num_rows=int(mask.sum()),
+            provenance={k: v[rows] for k, v in self.provenance.items()},
+            num_rows=len(rows),
         )
-
-
-def _sample_predicate_mask(data: _SampleIntermediate, alias: str, predicate) -> np.ndarray:
-    if isinstance(predicate, ColumnPairScanPredicate):
-        return predicate.mask(
-            data.columns[f"{alias}.{predicate.left_column}"],
-            data.columns[f"{alias}.{predicate.right_column}"],
-        )
-    return predicate.mask(data.columns[f"{alias}.{predicate.column}"])
 
 
 class SelectivityEstimator:
@@ -133,9 +137,12 @@ class SelectivityEstimator:
     estimator consults it at every scan, join, and filter: a hit reuses
     the memoized sample intermediate (and its derived selectivity and
     resource counts) instead of re-executing the sub-plan over the
-    sample tables; a miss stores the freshly computed result. Estimates
-    are bitwise identical either way — the engine only skips work whose
-    outcome is already known.
+    sample tables; a miss stores the freshly computed result. An empty
+    intermediate is memoized too, but its selectivity is recomputed on
+    every hit: the empty fallback reads the consuming plan's optimizer
+    estimate, not only the subtree. Estimates are bitwise identical
+    either way — the engine only skips work whose outcome is already
+    known.
     """
 
     def __init__(
@@ -160,34 +167,6 @@ class SelectivityEstimator:
         self._visit(self._planned.root, per_node, run_counts)
         return SamplingEstimate(per_node=per_node, sample_run_counts=run_counts)
 
-    # -- engine consultation ------------------------------------------------
-    def _signature_for(self, node: PlanNode, child_signatures: list) -> str | None:
-        """This node's canonical sub-plan signature (None: not memoizable)."""
-        if self._engine is None:
-            return None
-        return compose_signature(node, child_signatures, self._copies)
-
-    def _lookup(self, signature: str | None):
-        if self._engine is None or signature is None:
-            return None
-        return self._engine.lookup(self._fingerprint, signature)
-
-    def _store(
-        self,
-        signature: str | None,
-        result: _SampleIntermediate,
-        selectivity: NodeSelectivity,
-        counts: ResourceCounts,
-    ) -> None:
-        if self._engine is None or signature is None:
-            return
-        if result.num_rows == 0:
-            # Empty intermediates take the optimizer fallback, whose
-            # selectivity depends on the enclosing plan's estimates, not
-            # only on this subtree — unsafe to share across plans.
-            return
-        self._engine.store(self._fingerprint, signature, result, selectivity, counts)
-
     # ------------------------------------------------------------------
     def _visit(
         self,
@@ -202,17 +181,9 @@ class SelectivityEstimator:
         """
         kind = node.kind
         if node.is_scan:
-            signature = self._signature_for(node, [])
-            entry = self._lookup(signature)
-            if entry is not None:
-                per_node[node.op_id] = entry.rekeyed_selectivity(node.op_id)
-                run_counts[node.op_id] = entry.counts
-                return entry.intermediate, signature
-            result = self._scan(node, run_counts)
-            selectivity = self._scan_selectivity(node, result)
-            per_node[node.op_id] = selectivity
-            self._store(signature, result, selectivity, run_counts[node.op_id])
-            return result, signature
+            return self._sampled(
+                node, [], per_node, run_counts, lambda: self._scan(node, run_counts)
+            )
 
         children = [self._visit(c, per_node, run_counts) for c in node.children]
         intermediates = [intermediate for intermediate, _ in children]
@@ -232,32 +203,16 @@ class SelectivityEstimator:
             return None, None
 
         if node.is_join:
-            signature = self._signature_for(node, signatures)
-            entry = self._lookup(signature)
-            if entry is not None:
-                per_node[node.op_id] = entry.rekeyed_selectivity(node.op_id)
-                run_counts[node.op_id] = entry.counts
-                return entry.intermediate, signature
-            result = self._join(node, intermediates[0], intermediates[1], run_counts)
-            selectivity = self._product_selectivity(node, result)
-            per_node[node.op_id] = selectivity
-            self._store(signature, result, selectivity, run_counts[node.op_id])
-            return result, signature
+            left, right = intermediates
+            return self._sampled(
+                node, signatures, per_node, run_counts,
+                lambda: self._join(node, left, right, run_counts),
+            )
         if kind is OpKind.FILTER:
-            signature = self._signature_for(node, signatures)
-            entry = self._lookup(signature)
-            if entry is not None:
-                per_node[node.op_id] = entry.rekeyed_selectivity(node.op_id)
-                run_counts[node.op_id] = entry.counts
-                return entry.intermediate, signature
-            result = self._filter(node, intermediates[0], run_counts)
-            if len(result.provenance) > 1:
-                selectivity = self._product_selectivity(node, result)
-            else:
-                selectivity = self._scan_selectivity(node, result)
-            per_node[node.op_id] = selectivity
-            self._store(signature, result, selectivity, run_counts[node.op_id])
-            return result, signature
+            return self._sampled(
+                node, signatures, per_node, run_counts,
+                lambda: self._filter(node, intermediates[0], run_counts),
+            )
         if kind in (OpKind.SORT, OpKind.MATERIALIZE):
             per_node[node.op_id] = self._alias_selectivity(node)
             run_counts[node.op_id] = ResourceCounts(
@@ -271,46 +226,82 @@ class SelectivityEstimator:
             return intermediates[0], signatures[0]
         raise SamplingError(f"sampling estimator: unknown operator {kind}")
 
+    def _sampled(self, node, child_signatures, per_node, run_counts, run):
+        """A scan, join or filter: served from the engine, or ``run()``.
+
+        ``run`` executes the operator over the samples, records its run
+        counts and returns its intermediate; a miss stores the result.
+        """
+        signature = entry = None
+        if self._engine is not None:
+            signature = compose_signature(node, child_signatures, self._copies)
+            entry = self._engine.lookup(self._fingerprint, signature)
+        if entry is None:
+            result = run()
+            selectivity = self._sample_selectivity(node, result)
+            if self._engine is not None:
+                self._engine.store(
+                    self._fingerprint,
+                    signature,
+                    result,
+                    selectivity if result.num_rows else None,
+                    run_counts[node.op_id],
+                )
+        else:
+            result = entry.intermediate
+            run_counts[node.op_id] = entry.counts
+            if entry.selectivity is None:
+                selectivity = self._empty_fallback(node)
+            else:
+                selectivity = entry.rekeyed_selectivity(node.op_id)
+        per_node[node.op_id] = selectivity
+        return result, signature
+
     # -- operators over samples -------------------------------------------
-    def _scan(self, node, run_counts) -> _SampleIntermediate:
-        table = self._planned.database.table(node.table)
-        alias = node.alias
-        copy = self._copies[alias]
-        positions = self._samples.sample_indices(node.table, copy)
-        n = len(positions)
-        columns = {
-            f"{alias}.{name}": table.column(name)[positions]
-            for name in table.schema.names
-        }
-        result = _SampleIntermediate(
-            columns=columns,
-            provenance={alias: np.arange(n, dtype=np.int64)},
-            num_rows=n,
+    def _values(self, alias: str, column: str, positions) -> np.ndarray:
+        """``alias.column`` at the given sample positions (None: all)."""
+        values = self._samples.sample_column(
+            self._planned.alias_tables[alias], column, self._copies[alias]
         )
+        return values if positions is None else values[positions]
+
+    def _scan_mask(self, predicate, alias: str, positions) -> np.ndarray:
+        if isinstance(predicate, ColumnPairScanPredicate):
+            return predicate.mask(
+                self._values(alias, predicate.left_column, positions),
+                self._values(alias, predicate.right_column, positions),
+            )
+        return predicate.mask(self._values(alias, predicate.column, positions))
+
+    def _scan(self, node, run_counts) -> _SampleIntermediate:
+        alias = node.alias
+        n = self._samples.sample_size(node.table)
         predicates = list(node.predicates)
         if node.kind is OpKind.INDEX_SCAN and node.index_predicate is not None:
             predicates.append(node.index_predicate)
+        # Each predicate reads only the positions the previous ones kept.
+        positions = None
         ops = 0
         for predicate in predicates:
-            result = result.select(_sample_predicate_mask(result, alias, predicate))
+            mask = self._scan_mask(predicate, alias, positions)
+            positions = np.flatnonzero(mask) if positions is None else positions[mask]
             ops += predicate.num_ops
+        if positions is None:
+            positions = np.arange(n, dtype=np.int64)
         run_counts[node.op_id] = ResourceCounts(
             ns=float(self._samples.sample_pages(node.table)),
             nt=float(n),
             no=float(ops * n),
         )
-        return result
+        return _SampleIntermediate({alias: positions}, len(positions))
 
     def _join(self, node, left, right, run_counts) -> _SampleIntermediate:
         if node.keys:
-            left_cols = [left.columns[lk] for lk, _ in node.keys]
-            right_cols = [right.columns[rk] for _, rk in node.keys]
+            left_cols = [self._key_values(left, lk) for lk, _ in node.keys]
+            right_cols = [self._key_values(right, rk) for _, rk in node.keys]
             li, ri = kernels.equijoin_pairs(left_cols, right_cols)
         else:
             li, ri = kernels.cross_join_pairs(left.num_rows, right.num_rows)
-        columns = {name: arr[li] for name, arr in left.columns.items()}
-        for name, arr in right.columns.items():
-            columns[name] = arr[ri]
         provenance = {alias: arr[li] for alias, arr in left.provenance.items()}
         for alias, arr in right.provenance.items():
             provenance[alias] = arr[ri]
@@ -318,28 +309,51 @@ class SelectivityEstimator:
             nt=float(left.num_rows + right.num_rows),
             no=2.0 * (left.num_rows + right.num_rows),
         )
-        return _SampleIntermediate(columns, provenance, len(li))
+        return _SampleIntermediate(provenance, len(li))
+
+    def _column(self, data: _SampleIntermediate, alias: str, column: str) -> np.ndarray:
+        """``alias.column`` over the intermediate's rows."""
+        return self._values(alias, column, data.provenance[alias])
+
+    def _key_values(self, data: _SampleIntermediate, key: str) -> np.ndarray:
+        """A qualified ``alias.column`` key over the intermediate's rows."""
+        alias, _, column = key.partition(".")
+        return self._column(data, alias, column)
 
     def _filter(self, node: FilterNode, data, run_counts) -> _SampleIntermediate:
         mask = np.ones(data.num_rows, dtype=bool)
         ops = 0
         for predicate in node.scan_predicates:
-            mask &= _sample_predicate_mask(data, predicate.alias, predicate)
+            alias = predicate.alias
+            mask &= self._scan_mask(predicate, alias, data.provenance[alias])
             ops += predicate.num_ops
         for predicate in node.compare_predicates:
-            left = data.columns[f"{predicate.left_alias}.{predicate.left_column}"]
-            right = data.columns[f"{predicate.right_alias}.{predicate.right_column}"]
-            mask &= predicate.mask(left, right)
+            mask &= predicate.mask(
+                self._column(data, predicate.left_alias, predicate.left_column),
+                self._column(data, predicate.right_alias, predicate.right_column),
+            )
             ops += predicate.num_ops
         run_counts[node.op_id] = ResourceCounts(
             nt=float(data.num_rows), no=float(max(ops, 1) * data.num_rows)
         )
-        return data.select(mask)
+        return data.take(np.flatnonzero(mask))
 
     # -- selectivity distributions -----------------------------------------
-    def _scan_selectivity(self, node, result) -> NodeSelectivity:
+    def _sample_selectivity(self, node, result) -> NodeSelectivity:
+        """rho_n and S_n^2 of a scan, join or filter result.
+
+        An empty result short-circuits to the fallback *before* any
+        variance arithmetic: with zero observations the ``Q_{k,j}``
+        counters are all zero and the deviations collapse to a spurious
+        exact zero variance, so none of the math is meaningful.
+        """
         if result.num_rows == 0:
             return self._empty_fallback(node)
+        if len(result.provenance) > 1:
+            return self._product_selectivity(node, result)
+        return self._scan_selectivity(node, result)
+
+    def _scan_selectivity(self, node, result) -> NodeSelectivity:
         alias = node.leaf_aliases()[0]
         n = self._samples.sample_size(self._planned.alias_tables[alias])
         rho = result.num_rows / n
@@ -356,15 +370,7 @@ class SelectivityEstimator:
         )
 
     def _product_selectivity(self, node, result) -> NodeSelectivity:
-        """rho_n and S_n^2 for an operator over a product space (joins).
-
-        An empty result short-circuits to the fallback *before* any
-        variance arithmetic: with zero observations the ``Q_{k,j}``
-        counters are all zero and the deviations collapse to a spurious
-        exact zero variance, so none of the math below is meaningful.
-        """
-        if result.num_rows == 0:
-            return self._empty_fallback(node)
+        """rho_n and S_n^2 for an operator over a product space (joins)."""
         aliases = node.leaf_aliases()
         sizes = {
             alias: self._samples.sample_size(self._planned.alias_tables[alias])
@@ -471,7 +477,7 @@ class SelectivityEstimator:
         for alias in aliases:
             full = self._planned.alias_rows[alias]
             fraction *= sizes[alias] / max(full, 1)
-        keys = [child.columns[key] for key in node.group_keys if key in child.columns]
+        keys = self._group_key_values(node, child)
         if not keys:
             return self._optimizer_fallback(node)
         denominator = self._planned.leaf_row_product(node)
@@ -488,6 +494,18 @@ class SelectivityEstimator:
             sample_sizes=sizes,
             source="gee",
         )
+
+    def _group_key_values(self, node: AggregateNode, child) -> list[np.ndarray]:
+        """The group keys that name a column of the child's sample rows."""
+        keys = []
+        for key in node.group_keys:
+            alias, _, column = key.partition(".")
+            if alias not in child.provenance:
+                continue
+            table = self._planned.alias_tables[alias]
+            if column in self._samples.database.table(table).schema:
+                keys.append(self._column(child, alias, column))
+        return keys
 
     def _alias_selectivity(self, node) -> NodeSelectivity:
         child_id = node.children[0].op_id

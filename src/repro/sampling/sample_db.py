@@ -1,12 +1,13 @@
 """Sample tables: offline tuple-level samples with provenance identifiers.
 
 Samples are taken offline and stored as materialized views (Section
-3.2.2). Tuple-level partitioning makes each "block" one tuple, so the
-estimator's cross-product of blocks reduces to a cross-product of
-tuples, and the provenance identifier of a sample tuple is simply its
-position in the sample table. Several independent sample copies per
-relation support the Lemma-3 workaround (use a different sample table
-for each appearance of a shared relation).
+3.2.2); :meth:`SampleDatabase.sample_column` materializes one column of
+such a view on first read. Tuple-level partitioning makes each "block"
+one tuple, so the estimator's cross-product of blocks reduces to a
+cross-product of tuples, and the provenance identifier of a sample
+tuple is simply its position in the sample table. Several independent
+sample copies per relation support the Lemma-3 workaround (use a
+different sample table for each appearance of a shared relation).
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ class SampleDatabase:
     num_copies: int = 2
     seed: int = 0
     _samples: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
+    #: (table, copy, column) -> the materialized sample column
+    _columns: dict[tuple[str, int, str], np.ndarray] = field(
+        default_factory=dict, repr=False
+    )
 
     def __post_init__(self):
         if not 0.0 < self.sampling_ratio <= 1.0:
@@ -95,8 +100,21 @@ class SampleDatabase:
             ) from None
 
     def sample_column(self, table_name: str, column: str, copy: int = 0) -> np.ndarray:
-        table = self.database.table(table_name)
-        return table.column(column)[self.sample_indices(table_name, copy)]
+        """One column of a materialized sample table, in sample-position order.
+
+        Filled on first read and cached read-only for the life of the
+        sample set, so the cache is bounded by the sample tables' own
+        size. Concurrent first reads may both gather it; ``setdefault``
+        keeps one, and every caller gets that one.
+        """
+        key = (table_name, copy, column)
+        values = self._columns.get(key)
+        if values is None:
+            table = self.database.table(table_name)
+            values = table.column(column)[self.sample_indices(table_name, copy)]
+            values.flags.writeable = False
+            values = self._columns.setdefault(key, values)
+        return values
 
     def sample_pages(self, table_name: str) -> int:
         """Pages occupied by one sample table (for the overhead metric)."""

@@ -230,9 +230,7 @@ class _Parser:
             self._advance()
             return Literal(value=token.value, kind="string")
         if token.is_keyword("DATE"):
-            self._advance()
-            text = self._expect(TokenType.STRING).value
-            return Literal(value=date_literal_days(text), kind="date")
+            return self._date_literal()
         if token.type is TokenType.IDENT:
             return self._column_ref()
         raise SqlParseError(
@@ -300,9 +298,19 @@ class _Parser:
             self._advance()
             return Literal(value=token.value, kind="string")
         if token.is_keyword("DATE"):
-            self._advance()
-            text = self._expect(TokenType.STRING).value
-            return Literal(value=date_literal_days(text), kind="date")
+            return self._date_literal()
         raise SqlParseError(
             f"expected literal at position {token.position}, got {token.value!r}"
         )
+
+    def _date_literal(self) -> Literal:
+        self._advance()
+        token = self._expect(TokenType.STRING)
+        try:
+            days = date_literal_days(token.value)
+        except (ValueError, OverflowError):
+            raise SqlParseError(
+                f"malformed DATE literal {token.value!r} at position "
+                f"{token.position}: expected 'YYYY-MM-DD'"
+            ) from None
+        return Literal(value=days, kind="date")

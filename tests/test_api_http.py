@@ -16,6 +16,7 @@ import pytest
 
 from repro.api import ApiError, HttpClient, Session, SessionConfig
 from repro.api.wire import (
+    MAX_MPL,
     SCHEMA_VERSION,
     BatchRequest,
     Observation,
@@ -206,6 +207,72 @@ class TestErrorTaxonomy:
         assert caught.value.code == 400
         assert record["error"]["code"] == "bad-request"
         assert server.app.policy.stats().in_flight == 0
+
+    @pytest.mark.parametrize(
+        "sql, status, code, names",
+        [
+            (
+                "SELECT * FROM orders WHERE o_totalprice > 'abc'",
+                422, "plan", ("o_totalprice", "'abc'"),
+            ),
+            (
+                "SELECT * FROM lineitem WHERE l_shipdate > '1995-03-06'",
+                422, "plan", ("l_shipdate", "'1995-03-06'"),
+            ),
+            (
+                "SELECT * FROM lineitem WHERE l_shipdate > DATE ''",
+                400, "sql-parse", ("DATE literal ''",),
+            ),
+        ],
+        ids=["string-vs-float", "string-vs-date", "empty-date"],
+    )
+    def test_wrong_type_literals_are_coded_not_500(
+        self, server, sql, status, code, names
+    ):
+        """A literal that cannot compare with its column is refused where
+        its type is known, naming the column and the literal."""
+        body = dumps({"sql": sql}).encode()
+        request = urllib.request.Request(
+            f"{server.url}/v1/predict", data=body, method="POST"
+        )
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(request, timeout=30)
+        record = json.loads(caught.value.read())
+        assert caught.value.code == status
+        assert record["error"]["code"] == code
+        for name in names:
+            assert name in record["error"]["message"]
+        assert server.app.policy.stats().in_flight == 0
+
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/v1/predict", '{"sql": "%s", "mpls": [1%s]}' % (SQL, "0" * 400)),
+            ("/v1/predict", '{"sql": "%s", "mpls": [%d]}' % (SQL, 2**70)),
+            ("/v1/predict", '{"sql": "%s", "mpls": [%d]}' % (SQL, MAX_MPL + 1)),
+            ("/v1/predict-batch", '{"queries": ["%s"], "mpls": [1, %d]}' % (SQL, 2**70)),
+            ("/v1/observe", '{"sql": "%s", "actual_seconds": 1, "mpl": %d}' % (SQL, 2**70)),
+        ],
+        ids=["predict-1e400", "predict-2**70", "predict-max+1", "batch-2**70", "observe-2**70"],
+    )
+    def test_mpls_above_the_bound_are_400(self, server, path, body):
+        request = urllib.request.Request(
+            f"{server.url}{path}", data=body.encode(), method="POST"
+        )
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(request, timeout=30)
+        record = json.loads(caught.value.read())
+        assert caught.value.code == 400
+        assert record["error"]["code"] == "bad-request"
+        assert ".mpl" in record["error"]["message"]
+        assert str(MAX_MPL) in record["error"]["message"]
+        assert server.app.policy.stats().in_flight == 0
+
+    def test_the_bound_itself_is_served(self, client):
+        response = client.request_json(
+            "POST", "/v1/predict", {"sql": SQL, "mpls": [8, MAX_MPL]}
+        )
+        assert [r["mpl"] for r in response["results"]] == [8, MAX_MPL]
 
     def test_unknown_table_is_422_catalog(self, client):
         # Parseable SQL the catalog refuses: a library error, not a 500.

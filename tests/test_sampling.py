@@ -1,5 +1,8 @@
 """Tests for sample tables and the Algorithm-1 selectivity estimator."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -44,6 +47,47 @@ class TestSampleDatabase:
 
     def test_sample_pages_positive(self, sample_db):
         assert sample_db.sample_pages("lineitem") >= 1
+
+    def test_sample_column_is_the_materialized_sample(self, tpch_db, sample_db):
+        values = sample_db.sample_column("orders", "o_totalprice", copy=1)
+        expected = tpch_db.table("orders").column("o_totalprice")[
+            sample_db.sample_indices("orders", 1)
+        ]
+        assert np.array_equal(values, expected)
+
+    def test_sample_column_is_cached_and_read_only(self, sample_db):
+        first = sample_db.sample_column("lineitem", "l_shipmode")
+        assert sample_db.sample_column("lineitem", "l_shipmode") is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = "MAIL"
+
+    def test_concurrent_first_reads_share_one_array(self, tpch_db):
+        samples = SampleDatabase(tpch_db, sampling_ratio=0.05, seed=2)
+        columns = tpch_db.table("lineitem").schema.names
+        barrier = threading.Barrier(4)
+        seen = [[] for _ in range(4)]
+
+        def read(mine):
+            barrier.wait(timeout=10)
+            for column in columns:
+                mine.append(samples.sample_column("lineitem", column, copy=1))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(m,)) for m in seen]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        cached = [samples.sample_column("lineitem", c, copy=1) for c in columns]
+        for mine in seen:
+            assert len(mine) == len(columns)
+            assert all(got is want for got, want in zip(mine, cached))
 
 
 class TestScanEstimates:

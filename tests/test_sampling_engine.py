@@ -1,9 +1,11 @@
 """The shared sub-plan sampling engine: cache primitives, canonical
-signatures, estimator/LEC/service integration, and the satellite
-regressions (empty intermediates, signature collisions, sample-size
-fallback)."""
+signatures, estimator/LEC/service integration, entry byte accounting,
+and the satellite regressions (empty intermediates, signature
+collisions, sample-size fallback)."""
 
+import gc
 import math
+import tracemalloc
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.sampling import SamplingEngine, subplan_signature
 from repro.sampling.estimator import NodeSelectivity, SelectivityEstimator
 from repro.sampling.sample_db import MIN_SAMPLE_ROWS
 from repro.service import PredictionService
+from repro.workloads import tpch_workload
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +394,52 @@ class TestEmptyIntermediates:
             assert math.isfinite(selectivity.mean)
             assert 0.0 <= selectivity.mean <= 1.0
 
-    def test_empty_results_are_not_memoized(self, optimizer, sample_db):
-        # The empty fallback leans on the enclosing plan's optimizer
-        # estimates, so sharing it across plans would be wrong.
-        planned = optimizer.plan_sql(self.EMPTY_SCAN)
+    def test_empty_results_are_memoized_but_not_their_fallback(
+        self, optimizer, sample_db, monkeypatch
+    ):
+        # An empty intermediate and its run counts depend only on the
+        # subtree, so they are stored; its selectivity is the optimizer
+        # fallback, which reads the consuming plan's estimate, so each
+        # plan gets its own.
         engine = SamplingEngine()
-        first = SelectivityEstimator(sample_db, planned, engine=engine).estimate()
-        served = SelectivityEstimator(sample_db, planned, engine=engine).estimate()
-        root = planned.root.op_id
-        assert first.per_node[root].mean == served.per_node[root].mean
-        _assert_estimates_identical(first, served)
+        first_plan = optimizer.plan_sql(self.EMPTY_SCAN)
+        root = first_plan.root.op_id
+        first = SelectivityEstimator(sample_db, first_plan, engine=engine).estimate()
+        assert len(engine) == 1
+        second_plan = optimizer.plan_sql(self.EMPTY_SCAN)
+        monkeypatch.setattr(second_plan, "est_selectivity", lambda node: 0.25)
+        hits = engine.stats.hits
+        served = SelectivityEstimator(
+            sample_db, second_plan, engine=engine
+        ).estimate()
+        assert engine.stats.hits == hits + 1
+        assert first.per_node[root].mean != 0.25
+        assert served.per_node[root].mean == 0.25
+        assert served.per_node[root].variance == 0.25 * 0.25
+        reference = SelectivityEstimator(sample_db, second_plan).estimate()
+        _assert_estimates_identical(reference, served)
+
+
+class TestEntryBytes:
+    def test_charged_bytes_track_what_clear_frees(self, optimizer, sample_db):
+        plans = [optimizer.plan_sql(sql) for sql in tpch_workload(300, seed=11)]
+        engine = SamplingEngine()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            for planned in plans:
+                SelectivityEstimator(sample_db, planned, engine=engine).estimate()
+            gc.collect()
+            charged = engine.bytes_used
+            before = tracemalloc.get_traced_memory()[0]
+            engine.clear()
+            freed = before - tracemalloc.get_traced_memory()[0]
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert len(plans) == 300 and freed > 0
+        assert 0.8 * freed <= charged <= 1.25 * freed, (charged, freed)
 
 
 class TestMinSampleSizeFallback:

@@ -11,10 +11,13 @@ Stage 1 — single worker (the pre-fork-identical path):
 * ``POST /v1/predict`` — one TPC-H query must come back with a positive
   mean, a declared ``schema_version``, and interval bounds;
 * a malformed statement must be a structured 400 (``sql-parse``);
-* a field of the wrong kind — ``"mpls": [1e999]`` on ``/v1/predict``,
-  ``"actual_seconds": "x"`` on ``/v1/observe`` — must be a structured
-  400 (``bad-request``), after which a well-formed predict still
-  answers 200 with the same numbers;
+* a field of the wrong kind or out of range — ``"mpls": [1e999]`` or
+  ``[2**70]`` on ``/v1/predict``, ``"actual_seconds": "x"`` on
+  ``/v1/observe`` — must be a structured 400 (``bad-request``), a
+  string literal compared with a float column (``o_totalprice >
+  'abc'``) a 422 (``plan``), and an empty ``DATE ''`` literal a 400
+  (``sql-parse``); after them a well-formed predict still answers 200
+  with the same numbers;
 * ``POST /v1/predict-batch`` with a full fan-out that repeats a
   variant under two spellings and repeats an mpl, plus one malformed
   query, must fail only that query, with ``sql-parse`` at its index;
@@ -81,6 +84,9 @@ from repro.api.wire import (  # noqa: E402
 )
 
 SQL = "SELECT COUNT(*) FROM orders WHERE o_totalprice > 100000"
+#: A string literal against a float column, and a malformed DATE literal.
+WRONG_TYPE_SQL = "SELECT COUNT(*) FROM orders WHERE o_totalprice > 'abc'"
+EMPTY_DATE_SQL = "SELECT COUNT(*) FROM lineitem WHERE l_shipdate > DATE ''"
 JOIN_SQL = (
     "SELECT COUNT(*) FROM orders, lineitem "
     "WHERE o_orderkey = l_orderkey AND o_totalprice > 150000"
@@ -205,13 +211,19 @@ def _single_worker_stage(scale: float, timeout: float) -> None:
         else:
             raise AssertionError("malformed SQL did not produce a 400")
 
-        for path, raw in (
-            ("/v1/predict", '{"sql": "%s", "mpls": [1e999]}' % SQL),
-            ("/v1/observe", '{"sql": "%s", "actual_seconds": "x"}' % SQL),
+        for path, raw, status_code, code in (
+            ("/v1/predict", '{"sql": "%s", "mpls": [1e999]}' % SQL, 400,
+             "bad-request"),
+            ("/v1/predict", '{"sql": "%s", "mpls": [%d]}' % (SQL, 2**70), 400,
+             "bad-request"),
+            ("/v1/observe", '{"sql": "%s", "actual_seconds": "x"}' % SQL, 400,
+             "bad-request"),
+            ("/v1/predict", dumps({"sql": WRONG_TYPE_SQL}), 422, "plan"),
+            ("/v1/predict", dumps({"sql": EMPTY_DATE_SQL}), 400, "sql-parse"),
         ):
             status, refused = _post_raw(url, path, raw, timeout)
-            assert status == 400, (path, status, refused)
-            assert refused["error"]["code"] == "bad-request", (path, refused)
+            assert status == status_code, (path, raw, status, refused)
+            assert refused["error"]["code"] == code, (path, raw, refused)
         again = client.request_json("POST", "/v1/predict", {"sql": SQL})
         assert again["results"] == body["results"], (again, body)
 
