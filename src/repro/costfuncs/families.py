@@ -23,6 +23,7 @@ __all__ = [
     "C6",
     "FAMILY_BY_KIND",
     "family_for",
+    "on_axis",
 ]
 
 #: A term is a mapping from family variable name to exponent.
@@ -41,18 +42,36 @@ class CostFunctionFamily:
     def num_coefficients(self) -> int:
         return len(self.terms)
 
-    def design_row(self, values: dict[str, float]) -> np.ndarray:
-        """Evaluate each basis term at ``values`` (one regression row)."""
-        row = np.empty(len(self.terms))
-        for i, term in enumerate(self.terms):
-            product = 1.0
-            for var, exponent in term.items():
-                product *= values[var] ** exponent
-            row[i] = product
-        return row
+    def design_matrix(self, grids: dict[str, np.ndarray]) -> np.ndarray:
+        """The regression design over the product of per-variable grids.
 
-    def evaluate(self, coefficients: np.ndarray, values: dict[str, float]) -> float:
-        return float(np.dot(coefficients, self.design_row(values)))
+        One C-ordered row per grid point, the family's first variable
+        varying slowest (see :func:`on_axis`), one column per term. A
+        term's column multiplies its factors in term order, starting
+        from 1.0, each factor ``v ** e`` taken per grid value as a
+        Python float: that is libm ``pow``, whereas numpy's
+        ``grid ** 2`` is a multiply and can differ in the last bit.
+        """
+        shape = tuple(len(grids[var]) for var in self.variables)
+        design = np.empty(shape + (len(self.terms),))
+        for i, term in enumerate(self.terms):
+            column = 1.0
+            for var, exponent in term.items():
+                factor = np.array([v ** exponent for v in grids[var].tolist()])
+                column = column * on_axis(factor, self.variables, var)
+            design[..., i] = column
+        return design.reshape(-1, len(self.terms))
+
+
+def on_axis(
+    values: np.ndarray, variables: tuple[str, ...], var: str
+) -> np.ndarray:
+    """``values`` laid along ``var``'s axis of the grid over ``variables``.
+
+    Axis i belongs to ``variables[i]``, so the grid's C-order points run
+    with the first variable slowest.
+    """
+    return values.reshape([-1 if name == var else 1 for name in variables])
 
 
 C1 = CostFunctionFamily("C1", ({},), ())

@@ -2,9 +2,10 @@
 
 For every operator the fitter invokes the engine's cost model on a grid
 of candidate selectivities drawn from ``[mu - 3 sigma, mu + 3 sigma]``
-(clipped to [0, 1]) — once per grid point, reading all five cost units
-off that one call — and, per (operator, cost unit) pair, solves the
-nonnegative least-squares problem for the family's coefficients. The
+(clipped to [0, 1]) — once for the whole grid, passed as arrays,
+reading all five cost units off that one call — and, per (operator,
+cost unit) pair, solves the nonnegative least-squares problem for the
+family's coefficients over a design matrix built column by column. The
 result is a polynomial in the plan's selectivity *variables* —
 identified by the op_id of the operator whose selectivity they are —
 ready for the moment computations of Section 5.
@@ -22,7 +23,7 @@ from ..optimizer.cost_model import COST_UNIT_NAMES, CostModel
 from ..optimizer.optimizer import PlannedQuery
 from ..plan.physical import PlanNode
 from ..sampling.estimator import SamplingEstimate
-from .families import CostFunctionFamily, family_for
+from .families import CostFunctionFamily, family_for, on_axis
 from .nnls import nnls
 
 __all__ = [
@@ -55,6 +56,18 @@ def is_zero_target(y: np.ndarray) -> bool:
     its broadcasting and finiteness bookkeeping.
     """
     return bool(np.all(np.abs(y) <= ZERO_TARGET_TOLERANCE))
+
+
+def _point_targets(count, variables: tuple[str, ...], grid_w: int) -> np.ndarray:
+    """One unit's count at every grid point, as a fresh float64 vector.
+
+    The count is broadcast over the full grid (constant along any axis
+    it does not depend on) and flattened in C order, the first variable
+    slowest.
+    """
+    y = np.empty((grid_w + 1,) * len(variables))
+    y[...] = count
+    return y.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -136,8 +149,8 @@ class CostFunctionFitter:
         """Every nonzero unit's cost function of ``node``, in unit order.
 
         Units whose families share a variable set share one grid: the
-        engine's cost model runs once per grid point, and every unit's
-        regression target is read off that one call's counts.
+        engine's cost model evaluates the whole grid in one call, and
+        every unit's regression target is read off that call's counts.
         """
         functions: dict[str, FittedCostFunction] = {}
         sweeps: dict[tuple[str, ...], tuple] = {}
@@ -151,15 +164,13 @@ class CostFunctionFitter:
                 sweep = sweeps[family.variables] = self._sweep_grid(
                     node, family.variables
                 )
-            bindings, points, counts = sweep
-            y = np.asarray([count[unit] for count in counts])
+            bindings, grids, counts = sweep
+            y = _point_targets(counts[unit], family.variables, self._grid_w)
             if is_zero_target(y):
                 continue
             design = designs.get(family.name)
             if design is None:
-                design = designs[family.name] = np.asarray(
-                    [family.design_row(values) for values in points]
-                )
+                design = designs[family.name] = family.design_matrix(grids)
             coefficients, residual = self._solve(design, y)
             functions[unit] = FittedCostFunction(
                 unit=unit,
@@ -171,11 +182,10 @@ class CostFunctionFitter:
         return functions
 
     def _sweep_grid(self, node: PlanNode, variables: tuple[str, ...]) -> tuple:
-        """``(bindings, grid points, per-point unit counts)`` for ``variables``."""
+        """``(bindings, per-variable grids, unit counts)`` for ``variables``."""
         bindings = self._bind_variables(node, variables)
         grids = {var: self._grid_points(bindings[var]) for var in variables}
-        points = self._grid_product(variables, grids)
-        return bindings, points, self._invoke_cost_model(node, variables, points)
+        return bindings, grids, self._invoke_cost_model(node, variables, grids)
 
     def _solve(self, design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
         """NNLS, through the memo when one is attached.
@@ -232,63 +242,33 @@ class CostFunctionFitter:
             high = min(low + 1e-9, 1.0)
         return np.linspace(low, high, self._grid_w + 1)
 
-    @staticmethod
-    def _grid_product(variables, grids) -> list[dict[str, float]]:
-        if not variables:
-            return [{}]
-        if len(variables) == 1:
-            var = variables[0]
-            return [{var: float(v)} for v in grids[var]]
-        first, second = variables
-        return [
-            {first: float(a), second: float(b)}
-            for a in grids[first]
-            for b in grids[second]
-        ]
-
     def _invoke_cost_model(
         self,
         node: PlanNode,
         variables: tuple[str, ...],
-        points: list[dict[str, float]],
-    ) -> list[dict[str, float]]:
-        """Ask the engine for every unit's count at each candidate point.
+        grids: dict[str, np.ndarray],
+    ) -> dict[str, float | np.ndarray]:
+        """Ask the engine for every unit's count over the whole grid.
 
         A bound selectivity scales the leaf-row product of its operator
-        (Eq. 3); the products do not depend on the point, so they are
-        taken once. Unbound cardinalities stay at the optimizer's
-        estimates.
+        (Eq. 3), laid along the variable's own axis of the grid, so the
+        cardinalities broadcast to every grid point. Unbound
+        cardinalities stay at the optimizer's estimates.
         """
         planned = self._planned
-        n_left = 0.0
-        n_right = 0.0
-        m_out = planned.est_cards[node.op_id]
-        left_rows = right_rows = out_rows = None
+
+        def cardinality(var: str, of: PlanNode) -> float | np.ndarray:
+            if var in variables:
+                grid = on_axis(grids[var], variables, var)
+                return planned.leaf_row_product(of) * grid
+            return planned.est_cards[of.op_id]
+
+        n_left = n_right = 0.0
         if node.children:
-            left = node.children[0]
-            if "xl" in variables:
-                left_rows = planned.leaf_row_product(left)
-            else:
-                n_left = planned.est_cards[left.op_id]
+            n_left = cardinality("xl", node.children[0])
         if len(node.children) > 1:
-            right = node.children[1]
-            if "xr" in variables:
-                right_rows = planned.leaf_row_product(right)
-            else:
-                n_right = planned.est_cards[right.op_id]
-        if "x" in variables:
-            out_rows = planned.leaf_row_product(node)
-        counts = []
-        for values in points:
-            if left_rows is not None:
-                n_left = left_rows * values["xl"]
-            if right_rows is not None:
-                n_right = right_rows * values["xr"]
-            if out_rows is not None:
-                m_out = out_rows * values["x"]
-            counts.append(
-                self._cost_model.operator_counts(
-                    node, n_left, n_right, m_out
-                ).as_dict()
-            )
-        return counts
+            n_right = cardinality("xr", node.children[1])
+        m_out = cardinality("x", node)
+        return self._cost_model.operator_counts(
+            node, n_left, n_right, m_out
+        ).as_dict()

@@ -72,12 +72,6 @@ class ExecutionResult:
     def num_rows(self) -> int:
         return self.output.num_rows
 
-    def total_counts(self) -> ResourceCounts:
-        total = ResourceCounts()
-        for counts in self.counts.values():
-            total = total + counts
-        return total
-
 
 def _scan_predicate_mask(data: Intermediate, alias: str, predicate) -> np.ndarray:
     """Boolean mask for single-column or same-table column-pair predicates."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["render_table", "format_cell_value", "render_kv"]
+__all__ = ["render_table", "format_cell_value"]
 
 
 def format_cell_value(value) -> str:
@@ -29,8 +29,3 @@ def render_table(headers: list[str], rows: list[list]) -> str:
     out = [line(headers), "|" + "|".join("-" * (w + 2) for w in widths) + "|"]
     out.extend(line(row) for row in formatted)
     return "\n".join(out)
-
-
-def render_kv(pairs: dict) -> str:
-    """Render a dict as a markdown bullet list."""
-    return "\n".join(f"- **{key}**: {format_cell_value(value)}" for key, value in pairs.items())

@@ -18,7 +18,6 @@ __all__ = [
     "SAMPLING_RATIOS",
     "MACHINES",
     "DEFAULT_QUERY_COUNTS",
-    "database_label",
 ]
 
 BENCHMARKS = ("MICRO", "SELJOIN", "TPCH")
@@ -37,8 +36,3 @@ MACHINES = ("PC1", "PC2")
 
 #: Full-run query counts per benchmark (benches use fewer).
 DEFAULT_QUERY_COUNTS = {"MICRO": 56, "SELJOIN": 28, "TPCH": 28}
-
-
-def database_label(uniform: bool, large: bool) -> str:
-    """Grid label, e.g. ``uniform-small`` or ``skewed-large``."""
-    return f"{'uniform' if uniform else 'skewed'}-{'large' if large else 'small'}"

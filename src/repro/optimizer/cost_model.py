@@ -11,15 +11,24 @@ for those functions. It is used three ways:
 1. by the optimizer, with *estimated* cardinalities, to pick plans;
 2. by the executor + hardware simulator, with *true* cardinalities, to
    produce ground-truth running times;
-3. by the predictor's cost-function fitting (Section 4), which invokes
-   it on a grid of candidate selectivities to recover the coefficients
-   of the C1..C6 families.
+3. by the predictor's cost-function fitting (Section 4), which
+   evaluates an operator's whole grid of candidate selectivities in one
+   call, passing float64 arrays that broadcast, to recover the
+   coefficients of the C1..C6 families.
+
+Every count is one expression for floats and arrays alike, so an array
+element carries the bits of the scalar call at that point. The two
+counts numpy would round differently go through a scalar form per
+element: Sort's ``math.log2`` (numpy's ``log2`` may take a SIMD path
+whose last bit depends on the CPU) and Limit's Python ``min``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..errors import PlanError
 from ..plan.physical import (
@@ -56,7 +65,7 @@ COMPARE_OPS = 1.0
 
 @dataclass(frozen=True)
 class ResourceCounts:
-    """The five ``n`` counters of Eq. 1."""
+    """The five ``n`` counters of Eq. 1 (floats, or arrays over a grid)."""
 
     ns: float = 0.0  # pages read sequentially
     nr: float = 0.0  # pages read randomly
@@ -82,6 +91,22 @@ class ResourceCounts:
         return sum(counts[name] * units[name] for name in COST_UNIT_NAMES)
 
 
+def _log2_at_least_2(n):
+    """``math.log2(max(n, 2.0))``, per element when ``n`` is an array."""
+    if isinstance(n, np.ndarray):
+        return np.array(
+            [math.log2(max(v, 2.0)) for v in n.ravel().tolist()]
+        ).reshape(n.shape)
+    return math.log2(max(n, 2.0))
+
+
+def _python_min(a, b):
+    """``min(a, b)`` with Python's semantics (``b`` only where ``b < a``)."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.where(b < a, b, a)
+    return min(a, b)
+
+
 class CostModel:
     """Computes :class:`ResourceCounts` per operator from cardinalities."""
 
@@ -92,17 +117,20 @@ class CostModel:
     def operator_counts(
         self,
         node: PlanNode,
-        n_left: float,
-        n_right: float,
-        m_out: float,
+        n_left: float | np.ndarray,
+        n_right: float | np.ndarray,
+        m_out: float | np.ndarray,
         fetched: float | None = None,
     ) -> ResourceCounts:
         """Resource counts for one operator.
 
         ``n_left`` / ``n_right`` are the input cardinalities, ``m_out`` the
-        output cardinality. For index scans, ``fetched`` overrides the
-        modeled number of heap fetches (the executor passes the true
-        value; the optimizer and the fitting grid leave it None).
+        output cardinality: floats, or float64 arrays that broadcast
+        against each other, in which case each count is an array over
+        the broadcast grid (or a float where it depends on none of
+        them). For index scans, ``fetched`` overrides the modeled
+        number of heap fetches (the executor passes the true value; the
+        optimizer and the fitting grid leave it None).
         """
         kind = node.kind
         if kind is OpKind.SEQ_SCAN:
@@ -127,14 +155,14 @@ class CostModel:
                 no=COMPARE_OPS * n_left * n_right,
             )
         if kind is OpKind.SORT:
-            comparisons = n_left * math.log2(max(n_left, 2.0))
+            comparisons = n_left * _log2_at_least_2(n_left)
             return ResourceCounts(nt=n_left, no=2.0 * COMPARE_OPS * comparisons)
         if kind is OpKind.AGGREGATE:
             return self._aggregate_counts(node, n_left)
         if kind is OpKind.MATERIALIZE:
             return ResourceCounts(nt=n_left, no=n_left)
         if kind is OpKind.LIMIT:
-            return ResourceCounts(nt=min(n_left, m_out))
+            return ResourceCounts(nt=_python_min(n_left, m_out))
         raise PlanError(f"cost model: unknown operator kind {kind}")
 
     # -- per-operator helpers -------------------------------------------

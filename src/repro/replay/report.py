@@ -213,12 +213,6 @@ class ReplayReport:
         """
         return self.deadline_misses / max(self.deadline_requests, 1)
 
-    @property
-    def over_capacity_rate(self) -> float:
-        """503-refused requests per issued request."""
-        refused = self.error_counts.get("over-capacity", 0)
-        return refused / max(self.requests_total, 1)
-
     def to_dict(self) -> dict:
         """JSON-ready mapping (the CLI's ``--json`` output)."""
         return {

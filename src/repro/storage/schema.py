@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from ..errors import SchemaError
 
 __all__ = ["ColumnType", "Column", "Schema", "PAGE_SIZE_BYTES"]
@@ -22,15 +20,6 @@ class ColumnType(Enum):
     FLOAT = "float"
     STR = "str"
     DATE = "date"
-
-    @property
-    def numpy_dtype(self):
-        """The numpy dtype used to store a column of this type."""
-        if self is ColumnType.INT or self is ColumnType.DATE:
-            return np.int64
-        if self is ColumnType.FLOAT:
-            return np.float64
-        return np.dtype("U32")
 
     @property
     def width_bytes(self) -> int:

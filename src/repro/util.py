@@ -6,7 +6,6 @@ import numpy as np
 
 __all__ = [
     "ensure_rng",
-    "spawn_rng",
     "expand_ranges",
     "join_indices",
     "group_ids",
@@ -18,11 +17,6 @@ def ensure_rng(seed_or_rng) -> np.random.Generator:
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
     return np.random.default_rng(seed_or_rng)
-
-
-def spawn_rng(rng: np.random.Generator) -> np.random.Generator:
-    """Derive an independent child generator from ``rng``."""
-    return np.random.default_rng(rng.integers(0, 2**63 - 1))
 
 
 def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

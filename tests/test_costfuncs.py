@@ -20,13 +20,29 @@ class TestFamilies:
         assert C6.num_coefficients == 4
 
     def test_design_rows(self):
-        assert C2.design_row({"x": 0.5}).tolist() == [0.5, 1.0]
-        assert C4.design_row({"xl": 0.5}).tolist() == [0.25, 0.5, 1.0]
-        assert C6.design_row({"xl": 0.5, "xr": 0.2}).tolist() == [0.1, 0.5, 0.2, 1.0]
+        one = np.array([0.5])
+        assert C2.design_matrix({"x": one}).tolist() == [[0.5, 1.0]]
+        assert C4.design_matrix({"xl": one}).tolist() == [[0.25, 0.5, 1.0]]
+        assert C6.design_matrix({"xl": one, "xr": np.array([0.2])}).tolist() == [
+            [0.1, 0.5, 0.2, 1.0]
+        ]
+        # Two variables: one row per grid point, the first variable slowest.
+        design = C6.design_matrix(
+            {"xl": np.array([0.5, 1.0]), "xr": np.array([0.2, 0.4])}
+        )
+        assert design.flags.c_contiguous and design.dtype == np.float64
+        assert design.tolist() == [
+            [0.1, 0.5, 0.2, 1.0],
+            [0.2, 0.5, 0.4, 1.0],
+            [0.2, 1.0, 0.2, 1.0],
+            [0.4, 1.0, 0.4, 1.0],
+        ]
+        assert C1.design_matrix({}).tolist() == [[1.0]]
 
     def test_evaluate(self):
         coefficients = np.array([2.0, 3.0, 1.0])
-        value = C5.evaluate(coefficients, {"xl": 0.5, "xr": 0.1})
+        design = C5.design_matrix({"xl": np.array([0.5]), "xr": np.array([0.1])})
+        value = float(design[0] @ coefficients)
         assert value == pytest.approx(2.0 * 0.5 + 3.0 * 0.1 + 1.0)
 
     def test_family_mapping(self):

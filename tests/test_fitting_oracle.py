@@ -3,22 +3,26 @@
 ``ReferenceCostFunctionFitter`` below is the fitter the production one
 replaced, kept verbatim as the oracle: it fits one (operator, unit)
 pair at a time, rebinding the variables, rebuilding the grid and the
-design matrix, and calling the engine's cost model once per grid point
-*per unit*. The production :class:`CostFunctionFitter` samples each
-operator's grid once, reads all five units off one cost-model call per
-point, and may route its NNLS solves through an exact fit-solution
-memo. None of that may move a bit: coefficients, residuals, families,
-unit order and variable bindings are compared as bytes across every
-TPC-H template and the micro workloads, with and without GEE, with the
-histogram estimator, and at several grid widths — and memo hits,
-memo misses and memo-free fits must agree too.
+design matrix one scalar row per point (its own ``_design_row``), and
+calling the engine's cost model with floats once per grid point *per
+unit*. The production :class:`CostFunctionFitter` samples each
+operator's grid once, evaluates the whole grid in one array call to the
+cost model, reads all five units off it, builds each design matrix
+column by column, and may route its NNLS solves through an exact
+fit-solution memo. None of that may move a bit: coefficients,
+residuals, families, unit order and variable bindings are compared as
+bytes across every TPC-H template and the micro workloads, with and
+without GEE, with the histogram estimator, and at several grid widths —
+and memo hits, memo misses and memo-free fits must agree too.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import struct
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +50,17 @@ from repro.sampling.histogram_estimator import HistogramSelectivityEstimator
 from repro.service import PredictionService
 from repro.workloads.micro import micro_join_queries, micro_scan_queries
 from repro.workloads.tpch_templates import TPCH_TEMPLATES
+
+
+def _design_row(family, values: dict[str, float]) -> np.ndarray:
+    """Evaluate each basis term at ``values`` (one regression row)."""
+    row = np.empty(len(family.terms))
+    for i, term in enumerate(family.terms):
+        product = 1.0
+        for var, exponent in term.items():
+            product *= values[var] ** exponent
+        row[i] = product
+    return row
 
 
 class ReferenceCostFunctionFitter:
@@ -88,7 +103,7 @@ class ReferenceCostFunctionFitter:
         rows = []
         targets = []
         for values in points:
-            rows.append(family.design_row(values))
+            rows.append(_design_row(family, values))
             targets.append(self._invoke_cost_model(node, unit, values))
         design = np.asarray(rows)
         y = np.asarray(targets)
@@ -173,17 +188,17 @@ class ReferenceCostFunctionFitter:
 # ---------------------------------------------------------------------------
 # the differential harness
 
-#: Plans the workloads rarely produce: an index scan, a cross-table
-#: filter, a sort under a limit, a single-table scan.
-EDGE_SQLS = [
-    "SELECT * FROM lineitem WHERE l_shipdate <= DATE '1992-03-01'",
-    (
-        "SELECT * FROM orders, lineitem WHERE o_orderkey = l_orderkey "
-        "AND o_orderdate < l_shipdate AND o_totalprice > 300000"
-    ),
-    "SELECT * FROM orders WHERE o_totalprice > 100000 ORDER BY o_totalprice LIMIT 10",
-    "SELECT * FROM region",
-]
+_spec = importlib.util.spec_from_file_location(
+    "repro_tools_served_digest",
+    Path(__file__).resolve().parent.parent / "tools" / "served_digest.py",
+)
+_served_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_served_digest)
+
+#: Plans the workloads rarely produce (an index scan, a cross-table
+#: filter, a sort under a limit, a single-table scan), shared with the
+#: served-digest corpus.
+EDGE_SQLS = _served_digest.EDGE_SQLS
 
 GRID_WIDTHS = (2, 6, 9)
 ESTIMATORS = ("sampling", "sampling-gee", "histogram")
@@ -433,16 +448,18 @@ class TestSquaredColumn:
         Python's float ``**`` goes through libm ``pow``, which is not
         always correctly rounded, so it can differ from ``v * v`` and
         from numpy's vectorized ``arr ** 2`` (a multiply) in the last
-        bit. The fitter's design rows — and so every fitted coefficient
-        — are pinned to the scalar form; a vectorized design row would
-        move bits.
+        bit. The production design matrix — and so every fitted
+        coefficient — is pinned to the scalar form and to the
+        reference's scalar rows; a vectorized power would move bits.
         """
         rng = np.random.default_rng(3)
         for _ in range(2000):
             low, high = sorted(rng.random(2))
             grid = np.linspace(low, high, DEFAULT_GRID_W + 1)
             values = [float(v) for v in grid]
-            design = np.asarray([C4.design_row({"xl": v}) for v in values])
+            design = C4.design_matrix({"xl": grid})
             expected = np.array([v ** 2 for v in values])
             assert design[:, 0].tobytes() == expected.tobytes()
             assert design[:, 1].tobytes() == grid.tobytes()
+            rows = np.asarray([_design_row(C4, {"xl": v}) for v in values])
+            assert design.tobytes() == rows.tobytes()
