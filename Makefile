@@ -1,13 +1,12 @@
-# Developer entry points. The container has no ruff/flake8; `lint` uses
-# the repo's own AST-based checker (tools/lint.py, now a shim over
-# tools/staticcheck) and falls through to ruff when one is installed.
-# `staticcheck` runs the full framework: lock-discipline,
-# blocking-while-locked, determinism, error-taxonomy, plus the legacy
-# rules (docs/staticcheck.md). `test` runs lint first so dead imports
-# fail fast. `bench`/`bench-quick` go through the scenario registry
-# (`repro bench`, docs/benchmarks.md); `ci` mirrors the GitHub Actions
-# workflow: lint -> staticcheck -> tier-1 tests -> end-to-end benchmark
-# self-test -> HTTP smoke -> quick bench smoke -> regression guard
+# Developer entry points. The container has no ruff/flake8; `lint` runs
+# the repo's own AST-based checker, `staticcheck` (lock-discipline,
+# blocking-while-locked, determinism, error-taxonomy, dead imports and
+# stale exports; docs/staticcheck.md), and falls through to ruff when
+# one is installed. `test` runs lint first so dead imports fail fast.
+# `bench`/`bench-quick` go through the scenario registry (`repro bench`,
+# docs/benchmarks.md); `ci` mirrors the GitHub Actions workflow's
+# stages: staticcheck, tier-1 tests, doc check, end-to-end benchmark
+# self-test, HTTP smoke, quick bench smoke, and the regression guard
 # against the committed baselines.
 
 PYTHON ?= python
@@ -16,12 +15,11 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: lint staticcheck check-docs test test-slow bench bench-quick bench-baselines ci serve example-batch
 
-lint:
-	$(PYTHON) tools/lint.py
+lint: staticcheck
 	@command -v ruff >/dev/null 2>&1 && ruff check src tests benchmarks examples tools || true
 
-# The full static-analysis gate (superset of `lint`): concurrency,
-# determinism, and error-taxonomy rules with the committed baseline.
+# The static-analysis gate: concurrency, determinism, error-taxonomy
+# and dead-import rules with the committed baseline.
 staticcheck:
 	$(PYTHON) tools/staticcheck --jobs 0
 

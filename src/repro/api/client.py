@@ -34,6 +34,7 @@ into it.
 
 from __future__ import annotations
 
+import http.client
 import random
 import threading
 import time
@@ -196,6 +197,12 @@ class HttpClient:
             raise self._structured(error) from None
         except urllib.error.URLError as error:
             raise ApiError(0, "transport", f"cannot reach {url}: {error.reason}") from None
+        except (OSError, http.client.HTTPException) as error:
+            # A peer that hangs up, truncates its reply or outlasts the
+            # timeout fails the exchange after the connection was made.
+            raise ApiError(
+                0, "transport", f"{url}: {type(error).__name__}: {error}"
+            ) from None
 
     @staticmethod
     def _structured(error: urllib.error.HTTPError) -> ApiError:

@@ -42,6 +42,7 @@ from ..feedback import DEFAULT_TENANT, FeedbackRecalibrator
 from ..hardware import PROFILES, HardwareSimulator
 from ..service.service import BatchColumns, PredictionService
 from ..storage import Database
+from ..util import ensure_rng, freeze_startup_heap
 from .config import SessionConfig
 from .render import (
     ServedLevels,
@@ -67,7 +68,12 @@ __all__ = ["Session", "nested_levels", "static_scale"]
 
 
 class Session:
-    """The transport-agnostic front door to the predictor stack."""
+    """The transport-agnostic front door to the predictor stack.
+
+    The first session built in a process, by either constructor, ends
+    by collecting and then freezing the heap, once per process
+    (:func:`repro.util.freeze_startup_heap`, docs/api.md).
+    """
 
     def __init__(self, config: SessionConfig | None = None):
         """Build the full stack from ``config`` (defaults when omitted).
@@ -137,6 +143,8 @@ class Session:
         self._feedback = FeedbackRecalibrator(config.feedback())
         self._lock = threading.RLock()
         self._closed = False  # staticcheck: disable=lock-discipline — construction happens-before sharing
+        # Later full collections then walk only what serving allocates.
+        freeze_startup_heap()
 
     # -- introspection -----------------------------------------------------
     @property
@@ -178,7 +186,6 @@ class Session:
         warmed successfully (failures are skipped, not raised).
         """
         if queries is None:
-            from ..util import ensure_rng
             from ..workloads.tpch_templates import TPCH_TEMPLATES
 
             rng = ensure_rng(self._config.db_seed)

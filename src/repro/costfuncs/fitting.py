@@ -133,8 +133,11 @@ class CostFunctionFitter:
     ):
         self._planned = planned
         self._estimate = estimate
+        if grid_w < 1:
+            raise FittingError(f"grid_w must be at least 1, got {grid_w}")
         self._cost_model = CostModel(planned.database)
         self._grid_w = grid_w
+        self._grid_offsets = np.arange(grid_w + 1, dtype=np.float64)
         self._memo = memo
 
     # ------------------------------------------------------------------
@@ -232,7 +235,12 @@ class CostFunctionFitter:
         return bindings
 
     def _grid_points(self, var_id: int) -> np.ndarray:
-        """W+1 grid points over [mu - 3 sigma, mu + 3 sigma] ∩ [0, 1]."""
+        """W+1 grid points over [mu - 3 sigma, mu + 3 sigma] ∩ [0, 1].
+
+        ``np.linspace(low, high, W + 1)``'s own arithmetic (offset times
+        step, plus ``low``, last point set to ``high``), so the same
+        bits, without its per-call argument handling.
+        """
         selectivity = self._estimate.per_node[var_id]
         mean = selectivity.mean
         spread = max(3.0 * selectivity.std, MIN_RELATIVE_SPREAD * max(mean, 1e-9))
@@ -240,7 +248,9 @@ class CostFunctionFitter:
         high = min(mean + spread, 1.0)
         if high <= low:
             high = min(low + 1e-9, 1.0)
-        return np.linspace(low, high, self._grid_w + 1)
+        grid = self._grid_offsets * ((high - low) / self._grid_w) + low
+        grid[-1] = high
+        return grid
 
     def _invoke_cost_model(
         self,

@@ -33,6 +33,7 @@ import traceback
 from ..api.config import SessionConfig
 from ..api.session import Session
 from ..errors import ServingError
+from ..util import freeze_startup_heap
 from .admission import DEFAULT_MAX_IN_FLIGHT, AdmissionGate, build_admission
 from .app import SessionApp
 from .routing import ConsistentHashRouter, RoutedApp
@@ -243,6 +244,11 @@ class WorkerPool:
         if self._procs:
             raise ServingError("pool is already started")
         self._bind_parent_socket()
+        # Freeze before forking (a no-op if a session already did), so
+        # each worker inherits a frozen heap: its full collections
+        # neither walk those objects nor copy their pages by writing
+        # their gc headers.
+        freeze_startup_heap()
         # fork, not spawn: workers must inherit the listening socket
         # and the (optionally prebuilt) session without pickling.
         ctx = multiprocessing.get_context("fork")

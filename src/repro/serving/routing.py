@@ -24,6 +24,7 @@ optimization, never a correctness dependency.
 from __future__ import annotations
 
 import bisect
+import http.client
 import urllib.error
 import urllib.request
 import zlib
@@ -188,8 +189,9 @@ class RoutedApp(WireApp):
 
         Returns the relayed :class:`WireResponse` — a success body byte
         for byte as the owner wrote it, an error body re-parsed — or
-        None when the peer is unreachable or answers an error
-        unparseably; the caller then serves locally.
+        None when the peer is unreachable, hangs up or cuts its reply
+        short, or answers an error unparseably; the caller then serves
+        locally.
         """
         url = self.peers.get(owner)
         if url is None:
@@ -219,7 +221,7 @@ class RoutedApp(WireApp):
                 retry_after=int(retry_after) if retry_after else None,
                 close=True,
             )
-        except (urllib.error.URLError, OSError):
+        except (OSError, http.client.HTTPException):
             return None
 
     def _aggregate_stats(self, version: int) -> dict:
@@ -239,7 +241,7 @@ class RoutedApp(WireApp):
                     url + "/v1/stats?schema_version=2", timeout=self.timeout
                 ) as raw:
                     records.append(loads(raw.read()))
-            except (urllib.error.URLError, OSError):
+            except (OSError, http.client.HTTPException):
                 continue  # a dying peer must not fail the probe
         pool = aggregate_report_records(records)
         pool["schema_version"] = version

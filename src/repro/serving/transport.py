@@ -36,6 +36,7 @@ from ..errors import ReproError, ServingError, SqlError, WireError
 
 __all__ = [
     "HttpTransport",
+    "MAX_BODY_BYTES",
     "ServingHandler",
     "WireResponse",
     "error_response",
@@ -45,6 +46,13 @@ __all__ = [
     "reuseport_available",
     "status_for_error",
 ]
+
+
+#: The largest request body the server reads, in bytes (docs/api.md).
+#: A body is read in one call of its declared size, so without a bound
+#: the client's ``Content-Length`` would decide what the server
+#: allocates.
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 def status_for_error(error: BaseException) -> int:
@@ -179,10 +187,35 @@ class ServingHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        """The request's JSON body, read only once its length is sound.
+
+        ``Content-Length`` must be a plain decimal count of 1 to
+        :data:`MAX_BODY_BYTES` bytes, and the body must deliver all of
+        it; anything else is refused as 400 ``bad-request``, the length
+        before a body byte is read.
+        """
+        declared = (self.headers.get("Content-Length") or "0").strip(" \t")
+        if not (declared.isascii() and declared.isdigit()):
+            raise WireError(
+                "Content-Length must be a decimal byte count, "
+                f"got {declared[:32]!r}"
+            )
+        digits = declared.lstrip("0") or "0"
+        # Compared as text first: int() refuses strings over 4,300 digits.
+        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+            raise WireError(
+                f"Content-Length {digits[:32]} exceeds the "
+                f"{MAX_BODY_BYTES}-byte body limit"
+            )
+        length = int(digits)
+        if length == 0:
             raise WireError("request needs a JSON body with Content-Length")
-        return loads(self.rfile.read(length))
+        body = self.rfile.read(length)
+        if len(body) < length:
+            raise WireError(
+                f"body ended after {len(body)} of {length} declared bytes"
+            )
+        return loads(body)
 
     def do_GET(self):  # noqa: N802 — stdlib naming
         try:

@@ -1,15 +1,49 @@
-"""Small shared helpers: RNG plumbing and vectorized index utilities."""
+"""Small shared helpers: RNG plumbing, vectorized index utilities, and
+the process's one garbage-collector freeze."""
 
 from __future__ import annotations
+
+import gc
+import threading
 
 import numpy as np
 
 __all__ = [
     "ensure_rng",
     "expand_ranges",
+    "freeze_startup_heap",
     "join_indices",
     "group_ids",
 ]
+
+_freeze_lock = threading.Lock()
+#: Set once this process has frozen its heap; a forked child inherits it.
+_startup_heap_frozen = False
+
+
+def freeze_startup_heap() -> None:
+    """Collect, then freeze every gc-tracked object, once per process.
+
+    A full (generation-2) collection walks every tracked object, and
+    most of a serving process's objects are modules, a database and a
+    calibration built at start-up that live until exit. ``gc.freeze()``
+    moves them to the permanent generation, so later collections walk
+    only what was allocated after. Reference counting still frees a
+    frozen object; only a cycle among frozen objects is never
+    reclaimed, which is why this runs at most once per process and
+    collects first (so start-up garbage is not frozen with the rest).
+    The first :class:`~repro.api.session.Session` of a process calls
+    it, and :meth:`~repro.serving.WorkerPool.start` calls it before
+    forking, so workers inherit a frozen heap and the flag with it.
+    """
+    global _startup_heap_frozen
+    if _startup_heap_frozen:
+        return
+    with _freeze_lock:
+        if not _startup_heap_frozen:
+            gc.collect()
+            gc.freeze()
+            _startup_heap_frozen = True
 
 
 def ensure_rng(seed_or_rng) -> np.random.Generator:

@@ -8,6 +8,7 @@ the serving front-end.
 """
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -30,6 +31,7 @@ from repro.errors import (
     WireError,
 )
 from repro.serving import build_server, status_for_error
+from repro.serving.transport import MAX_BODY_BYTES
 from repro.util import ensure_rng
 from repro.workloads.tpch_templates import TPCH_TEMPLATES
 
@@ -281,6 +283,58 @@ class TestErrorTaxonomy:
         assert caught.value.status == 422
         assert caught.value.code == "catalog"
         assert "nosuchtable" in caught.value.remote_message
+
+
+#: A well-formed predict body: a server that ignored a bad length and
+#: read to the end of the stream would serve it.
+PREDICT_BODY = dumps({"sql": SQL}).encode()
+
+
+def _raw_post(server, content_length: str) -> bytes:
+    """POST :data:`PREDICT_BODY` over a raw socket under a hand-written
+    ``Content-Length``, half-close, and return the whole reply."""
+    with socket.create_connection(server.server_address[:2], timeout=30) as conn:
+        conn.sendall(
+            b"POST /v1/predict HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: " + content_length.encode("latin-1")
+            + b"\r\n\r\n" + PREDICT_BODY
+        )
+        conn.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := conn.recv(65536):
+            reply += chunk
+    return reply
+
+
+class TestContentLength:
+    """A request's declared body length is checked before a byte of the
+    body is read: nothing but a plain decimal count within the bound is
+    served, and a body that ends early is refused. No declared size here
+    is one the server would really allocate."""
+
+    @pytest.mark.parametrize("content_length", [
+        pytest.param("abc", id="not-a-number"),
+        pytest.param("1.5", id="fraction"),
+        pytest.param("-5", id="negative"),
+        pytest.param("+2", id="signed"),
+        pytest.param(str(MAX_BODY_BYTES + 1), id="above-the-bound"),
+        pytest.param("9" * 5000, id="far-above-the-bound"),
+        pytest.param(
+            str(len(PREDICT_BODY) + 10), id="body-shorter-than-declared"
+        ),
+    ])
+    def test_refused_with_a_coded_4xx(self, server, client, content_length):
+        reply = _raw_post(server, content_length)
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(payload)["error"]["code"] == "bad-request"
+        assert server.app.policy.in_flight() == 0
+        assert client.predict(SQL).results
+
+    def test_exact_length_with_leading_zeros_is_served(self, server):
+        reply = _raw_post(server, "00%d" % len(PREDICT_BODY))
+        assert reply.startswith(b"HTTP/1.1 200 ")
 
 
 class TestObserveLoop:

@@ -23,6 +23,7 @@ import struct
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -463,3 +464,55 @@ class TestSquaredColumn:
             assert design[:, 1].tobytes() == grid.tobytes()
             rows = np.asarray([_design_row(C4, {"xl": v}) for v in values])
             assert design.tobytes() == rows.tobytes()
+
+
+def _falls_back(mean: float, std: float) -> bool:
+    """Whether the grid interval is empty, so ``high`` is re-derived."""
+    spread = max(3.0 * std, MIN_RELATIVE_SPREAD * max(mean, 1e-9))
+    return min(mean + spread, 1.0) <= max(mean - spread, 0.0)
+
+
+class TestGridPoints:
+    """The fitter's grid is ``np.linspace``'s, byte for byte.
+
+    The production fitter applies linspace's own arithmetic (offset
+    times step, plus ``low``, last point ``high``) to an ``arange(W +
+    1)`` it builds once; the reference calls ``np.linspace``.
+    """
+
+    @pytest.mark.parametrize("grid_w", GRID_WIDTHS)
+    def test_matches_linspace(self, grid_w):
+        rng = np.random.default_rng(230 + grid_w)
+        # Exact zero and one, and empty intervals (mean past a clamp).
+        cases = [
+            (0.0, 0.0), (0.0, 0.3), (1.0, 0.0), (1.0, 0.2),
+            (1.2, 0.0), (2.0, 0.01), (-0.5, 0.0), (-1e-12, 0.0),
+        ]
+        for _ in range(400):
+            cases += [
+                (0.0, float(rng.random())),
+                (10.0 ** rng.uniform(-20, -15), 0.0),
+                (10.0 ** rng.uniform(-20, -15), 10.0 ** rng.uniform(-22, -14)),
+                (float(rng.random()), 0.2 * float(rng.random())),
+                (1.0 - 10.0 ** rng.uniform(-16, -1), 0.1 * float(rng.random())),
+                (float(rng.uniform(1.0, 1.5)), 0.05 * float(rng.random())),
+            ]
+        estimate = SimpleNamespace(per_node={
+            var_id: SimpleNamespace(mean=mean, std=std)
+            for var_id, (mean, std) in enumerate(cases)
+        })
+        planned = SimpleNamespace(database=None)
+        fitter = CostFunctionFitter(planned, estimate, grid_w)
+        reference = ReferenceCostFunctionFitter(planned, estimate, grid_w)
+        for var_id, case in enumerate(cases):
+            expected = reference._grid_points(var_id)
+            grid = fitter._grid_points(var_id)
+            assert grid.dtype == expected.dtype, case
+            assert grid.shape == expected.shape, case
+            assert grid.tobytes() == expected.tobytes(), case
+        assert sum(_falls_back(*case) for case in cases) >= 100
+
+    def test_grid_needs_a_subinterval(self):
+        planned = SimpleNamespace(database=None)
+        with pytest.raises(FittingError):
+            CostFunctionFitter(planned, SimpleNamespace(per_node={}), 0)

@@ -5,7 +5,9 @@ Covers the layers in isolation: admission policies and their
 cross-worker stats aggregation (sums, hit-rate recombination,
 None-on-zero-traffic), the SO_REUSEPORT-unavailable fallback, a shared
 listening socket's losing accept, the router's byte-for-byte relay of a
-forwarded answer, and the client side of the ``Retry-After`` contract.
+forwarded answer and its local fallback on a truncated one, the client
+side of the ``Retry-After`` contract, and the client's typed transport
+errors.
 The multi-process integration paths live in ``test_serving_pool.py``.
 """
 
@@ -16,6 +18,7 @@ import socket
 import threading
 import warnings
 import zlib
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -498,6 +501,43 @@ class TestSharedListeningSocket:
         assert not loser.is_alive()
 
 
+#: A reply that declares more body than it sends before hanging up.
+TRUNCATED_REPLY = (
+    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+    b"Content-Length: 100\r\n\r\n{\"schema_version\": "
+)
+
+
+@contextmanager
+def _one_shot_peer(answer):
+    """A raw-socket server for one connection: it reads the request,
+    then ``answer(conn)`` decides what (if anything) goes back before
+    the connection closes. Yields the server's base URL."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10.0)
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rb") as request:
+            conn.settimeout(10.0)
+            length = 0
+            while (line := request.readline()) not in (b"\r\n", b""):
+                name, _, value = line.partition(b":")
+                if name.strip().lower() == b"content-length":
+                    length = int(value)
+            request.read(length)
+            answer(conn)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield "http://127.0.0.1:%d" % listener.getsockname()[1]
+    finally:
+        thread.join(10.0)
+        listener.close()
+    assert not thread.is_alive()
+
+
 class _Recording(WireApp):
     """Passes POSTs through and keeps every answer it gave."""
 
@@ -559,6 +599,80 @@ class TestRoutedRelay:
         assert relayed.record["schema_version"] == 1
         assert relayed.record == loads(answer.body)
         session.close()
+
+    def test_truncated_peer_reply_is_served_locally(
+        self, tpch_db, calibrated_units
+    ):
+        # The owner hangs up partway through its answer: the router must
+        # treat it as unreachable and serve the request itself, not 500.
+        session = Session.from_components(
+            tpch_db, calibrated_units,
+            SessionConfig(sampling_ratio=0.05, sampling_seed=3),
+        )
+        router = ConsistentHashRouter(2)
+        rng = np.random.default_rng(5)
+        sql = next(
+            sql
+            for sql in (
+                TPCH_TEMPLATES[i % len(TPCH_TEMPLATES)].instantiate(rng)
+                for i in range(24)
+            )
+            if router.owner_point(plan_signature_hash(session.plan(sql))) == 1
+        )
+        record = {"sql": sql}
+        local = SessionApp(session)
+        with _one_shot_peer(lambda conn: conn.sendall(TRUNCATED_REPLY)) as url:
+            front = RoutedApp(local, session, router, {1: url}, self_index=0)
+            served = front.handle_post("/v1/predict", lambda: record)
+        assert served.status == 200
+        # This worker prepared the plan itself: the next local answer is
+        # the same one, from its cache.
+        assert served.record["prepare_was_cached"] is False
+        again = local.handle_post("/v1/predict", lambda: record).record
+        assert again["prepare_was_cached"] is True
+        assert served.record["results"] == again["results"]
+        session.close()
+
+
+# ---------------------------------------------------------------------------
+# client transport errors
+
+
+class TestClientTransportErrors:
+    """Failures after the connection is made are ``ApiError(0,
+    "transport")``, like a refused connection, not raw stdlib errors."""
+
+    @pytest.mark.parametrize("answer", [
+        pytest.param(lambda conn: None, id="closes-without-answering"),
+        pytest.param(
+            lambda conn: conn.sendall(TRUNCATED_REPLY), id="truncated-body"
+        ),
+    ])
+    def test_broken_reply_is_transport_error(self, answer):
+        with _one_shot_peer(answer) as url:
+            with pytest.raises(ApiError) as caught:
+                HttpClient(url, timeout=10.0).healthz()
+        assert caught.value.status == 0
+        assert caught.value.code == "transport"
+
+    def test_silence_past_the_timeout_is_transport_error(self):
+        released = threading.Event()
+        with _one_shot_peer(lambda conn: released.wait(10.0)) as url:
+            try:
+                with pytest.raises(ApiError) as caught:
+                    HttpClient(url, timeout=0.3).healthz()
+            finally:
+                released.set()
+        assert caught.value.status == 0
+        assert caught.value.code == "transport"
+
+    def test_refused_connection_is_transport_error(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+        listener.close()
+        with pytest.raises(ApiError) as caught:
+            HttpClient(f"http://127.0.0.1:{port}", timeout=5.0).healthz()
+        assert caught.value.code == "transport"
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
@@ -435,6 +437,9 @@ def backoff(attempt):
 """
 
 
+BENCH_PATH = "benchmarks/bench_demo.py"
+
+
 class TestDeterminism:
     def test_replay_path_global_rng_flagged(self):
         findings = run_rule("determinism", JITTER, path="src/repro/replay/retry.py")
@@ -495,6 +500,130 @@ class TestDeterminism:
         source = "key = hash('q')\n"
         (finding,) = run_rule("determinism", source, path="src/repro/replay/key.py")
         assert "crc32" in finding.message
+
+    # Every import spelling of the benchmark RNG rule, in benchmarks/.
+
+    @pytest.mark.parametrize("source", [
+        pytest.param("import random\nx = random.random()\n", id="random.random"),
+        pytest.param("import random\nrandom.seed(0)\n", id="random.seed"),
+        pytest.param(
+            "import random as rnd\nrnd.shuffle([1, 2])\n", id="random-as-rnd"
+        ),
+        pytest.param(
+            "import numpy as np\nx = np.random.rand(3)\n", id="np.random.rand"
+        ),
+        pytest.param(
+            "import numpy\nx = numpy.random.randint(10)\n",
+            id="numpy.random.randint",
+        ),
+        pytest.param(
+            "from numpy import random\nx = random.random()\n",
+            id="from-numpy-import-random",
+        ),
+        pytest.param(
+            "from numpy.random import rand\nx = rand(3)\n",
+            id="from-numpy.random-import-rand",
+        ),
+    ])
+    def test_benchmark_global_rng_flagged(self, source):
+        (finding,) = run_rule("determinism", source, path=BENCH_PATH)
+        assert "process-global" in finding.message
+
+    @pytest.mark.parametrize("source", [
+        pytest.param("import random\nrng = random.Random()\n", id="random.Random"),
+        pytest.param(
+            "import numpy as np\nrng = np.random.default_rng()\n",
+            id="np.random.default_rng",
+        ),
+        pytest.param(
+            "from numpy.random import default_rng\nrng = default_rng()\n",
+            id="from-numpy.random-import-default_rng",
+        ),
+    ])
+    def test_benchmark_unseeded_constructor_flagged(self, source):
+        (finding,) = run_rule("determinism", source, path=BENCH_PATH)
+        assert "without an explicit seed" in finding.message
+
+    @pytest.mark.parametrize("source", [
+        pytest.param("import random\nrng = random.Random(7)\n", id="Random(7)"),
+        pytest.param(
+            "import numpy as np\nrng = np.random.default_rng(0)\n",
+            id="default_rng(0)",
+        ),
+        pytest.param(
+            "import numpy as np\nrng = np.random.default_rng(seed=3)\n",
+            id="default_rng(seed=3)",
+        ),
+        pytest.param(
+            "from numpy.random import default_rng\nrng = default_rng(11)\n",
+            id="from-import-default_rng(11)",
+        ),
+        pytest.param(
+            "import numpy as np\nrng = np.random.RandomState(5)\n",
+            id="RandomState(5)",
+        ),
+    ])
+    def test_benchmark_seeded_constructor_clean(self, source):
+        assert run_rule("determinism", source, path=BENCH_PATH) == []
+
+    def test_benchmark_hash_flagged(self):
+        (finding,) = run_rule(
+            "determinism", "x = hash('query text')\n", path=BENCH_PATH
+        )
+        assert "hash()" in finding.message
+        assert "crc32" in finding.message
+
+    def test_rng_check_skipped_outside_benchmarks(self, tmp_path):
+        # The discipline applies to benchmarks only: library code may
+        # keep optional-seed APIs, tests may use hash(). Every rule runs
+        # here, so no other rule picks the file up either.
+        path = tmp_path / "pkg" / "module.py"
+        path.parent.mkdir()
+        path.write_text("import random\nx = random.random()\ny = hash('q')\n")
+        assert check_file(path, root=tmp_path) == []
+
+    def test_real_benchmarks_are_clean(self):
+        # Straight through the rule: no suppression or baseline entry
+        # can hide a finding in the committed benchmarks.
+        check = ALL_CHECKS["determinism"]
+        paths = sorted((REPO_ROOT / "benchmarks").glob("*.py"))
+        assert paths
+        findings = []
+        for path in paths:
+            ctx = FileContext(path, root=REPO_ROOT)
+            assert check.applies(ctx), ctx.rel
+            findings.extend(check.run(ctx))
+        assert findings == []
+
+
+# ---------------------------------------------------------------------------
+# dead imports and stale exports
+
+
+class TestImports:
+    def test_unused_import_flagged_at_its_line(self):
+        source = "import os\nimport sys\n\nprint(sys.argv)\n"
+        (finding,) = run_rule("unused-import", source)
+        assert finding.line == 1
+        assert finding.message == "unused import 'os'"
+
+    @pytest.mark.parametrize("source, path", [
+        pytest.param("import os as os\n", "pkg/mod.py", id="explicit-reexport"),
+        pytest.param(
+            "from typing import List\nx: 'List[int]' = []\n", "pkg/mod.py",
+            id="quoted-annotation",
+        ),
+        pytest.param(
+            "from .mod import thing\n", "pkg/__init__.py", id="package-init"
+        ),
+    ])
+    def test_used_or_reexported_import_clean(self, source, path):
+        assert run_rule("unused-import", source, path=path) == []
+
+    def test_stale_export_flagged(self):
+        source = "__all__ = ['present', 'gone']\n\ndef present():\n    pass\n"
+        (finding,) = run_rule("undefined-export", source)
+        assert "'gone'" in finding.message
 
 
 # ---------------------------------------------------------------------------
@@ -729,6 +858,24 @@ class TestFormatsAndRunner:
         assert result.returncode == 0, f"staticcheck findings:\n{result.stdout}"
         assert "0 finding(s)" in result.stdout
 
+    def test_repo_is_lint_clean(self):
+        # The dead-import, stale-export and determinism rules admit no
+        # baseline entries: the repo is clean of them outright.
+        result = subprocess.run(
+            [
+                sys.executable,
+                str(REPO_ROOT / "tools" / "staticcheck"),
+                "--no-baseline",
+                "--select",
+                "unused-import,undefined-export,determinism",
+            ],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, f"lint findings:\n{result.stdout}"
+        assert "0 finding(s)" in result.stdout
+
     def test_unknown_rule_is_usage_error(self, tmp_path):
         result = self.run_tool(tmp_path, "--select", "nope")
         assert result.returncode == 2
@@ -791,25 +938,3 @@ class TestFormatsAndRunner:
         result = run("src")  # fixed -> the stale entry must expire
         assert result.returncode == 1
         assert "baseline-expired" in result.stdout
-
-
-class TestLegacyShimEquivalence:
-    def test_shim_and_framework_agree_on_unused_import(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text("import os\nimport sys\n\nprint(sys.argv)\n")
-        import importlib.util
-
-        spec = importlib.util.spec_from_file_location(
-            "lint_shim_under_test", REPO_ROOT / "tools" / "lint.py"
-        )
-        lint = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(lint)
-        (problem,) = lint.check_file(path)
-        assert problem == f"{path}:1: unused import 'os'"
-        framework = [
-            f
-            for f in check_file(path, root=tmp_path)
-            if f.rule == "unused-import"
-        ]
-        assert len(framework) == 1
-        assert framework[0].line == 1

@@ -15,9 +15,11 @@ Stage 1 — single worker (the pre-fork-identical path):
   ``[2**70]`` on ``/v1/predict``, ``"actual_seconds": "x"`` on
   ``/v1/observe`` — must be a structured 400 (``bad-request``), a
   string literal compared with a float column (``o_totalprice >
-  'abc'``) a 422 (``plan``), and an empty ``DATE ''`` literal a 400
-  (``sql-parse``); after them a well-formed predict still answers 200
-  with the same numbers;
+  'abc'``) a 422 (``plan``), an empty ``DATE ''`` literal a 400
+  (``sql-parse``), and a ``Content-Length`` one byte over the body
+  bound a 400 (``bad-request``), refused before any body is sent;
+  after them a well-formed predict still answers 200 with the same
+  numbers;
 * ``POST /v1/predict-batch`` with a full fan-out that repeats a
   variant under two spellings and repeats an mpl, plus one malformed
   query, must fail only that query, with ``sql-parse`` at its index;
@@ -60,6 +62,7 @@ Usage: ``python tools/http_smoke.py [--scale 0.01] [--timeout 180]``
 from __future__ import annotations
 
 import argparse
+import http.client
 import os
 import queue
 import re
@@ -68,6 +71,7 @@ import sys
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from pathlib import Path
 
@@ -82,6 +86,7 @@ from repro.api.wire import (  # noqa: E402
     dumps,
     loads,
 )
+from repro.serving.transport import MAX_BODY_BYTES  # noqa: E402
 
 SQL = "SELECT COUNT(*) FROM orders WHERE o_totalprice > 100000"
 #: A string literal against a float column, and a malformed DATE literal.
@@ -179,6 +184,21 @@ def _post_raw(url: str, path: str, body: str, timeout: float):
         return error.code, loads(error.read())
 
 
+def _post_oversized(url: str, timeout: float):
+    """Declare a body one byte over the bound and send none; (status, JSON)."""
+    parts = urllib.parse.urlsplit(url)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=timeout)
+    try:
+        conn.putrequest("POST", "/v1/predict")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+        conn.endheaders()
+        reply = conn.getresponse()
+        return reply.status, loads(reply.read())
+    finally:
+        conn.close()
+
+
 def _stop(proc: subprocess.Popen) -> None:
     proc.terminate()
     try:
@@ -224,6 +244,9 @@ def _single_worker_stage(scale: float, timeout: float) -> None:
             status, refused = _post_raw(url, path, raw, timeout)
             assert status == status_code, (path, raw, status, refused)
             assert refused["error"]["code"] == code, (path, raw, refused)
+        status, refused = _post_oversized(url, timeout)
+        assert status == 400, (status, refused)
+        assert refused["error"]["code"] == "bad-request", refused
         again = client.request_json("POST", "/v1/predict", {"sql": SQL})
         assert again["results"] == body["results"], (again, body)
 

@@ -1,7 +1,8 @@
 """Pluggable dependency-free static analysis for this repository.
 
-``staticcheck`` grew out of ``tools/lint.py`` (which is now a thin
-compatibility shim over this package). It is an AST-based framework:
+``staticcheck`` grew out of the repo's first linter (dead imports,
+stale exports, unseeded benchmark randomness), whose rules it keeps. It
+is an AST-based framework:
 
 * a **check registry** (:mod:`staticcheck.core`) — every rule is a
   small class with a stable name; ``--select`` narrows the run;
@@ -29,8 +30,8 @@ runtime (see ``docs/staticcheck.md`` for the rule catalogue):
 * ``error-taxonomy`` — wire-facing code raises only exceptions with
   registered error codes and serializes through the NaN-guarded
   ``repro.api.wire`` helpers;
-* ``unused-import`` / ``undefined-export`` — the migrated legacy lint
-  rules.
+* ``unused-import`` / ``undefined-export`` — dead imports and stale
+  ``__all__`` entries.
 
 Run it as ``python tools/staticcheck`` or ``repro staticcheck``.
 """

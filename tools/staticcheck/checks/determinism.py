@@ -81,10 +81,10 @@ def _noun(ctx: FileContext) -> str:
     return "replay/datagen/experiments/service or prepare-path code"
 
 
-def rng_findings(ctx: FileContext, noun: str | None = None) -> list[Finding]:
+def rng_findings(ctx: FileContext) -> list[Finding]:
     """Flag process-global / unseeded randomness and builtin ``hash()``."""
     tree = ctx.tree
-    noun = noun or _noun(ctx)
+    noun = _noun(ctx)
     aliases = import_aliases(tree)
     findings: list[Finding] = []
     for node in ast.walk(tree):

@@ -1,7 +1,7 @@
 """The migrated legacy lint rules: dead imports and stale ``__all__``.
 
-Semantics are identical to the original ``tools/lint.py`` (which now
-shims onto these functions — ``tests/test_lint.py`` pins them):
+The rules the repo's first linter ran, with its semantics
+(``tests/test_staticcheck.py::TestImports`` pins them):
 
 * ``unused-import`` — a module-level import nothing in the module uses.
   ``__init__.py`` imports are re-exports and are only flagged when the

@@ -2,7 +2,7 @@
 
 A :class:`FileContext` owns one file's source and parsed AST — the
 per-file AST cache: every check runs against the same tree instead of
-re-reading and re-parsing per rule (what the old ``tools/lint.py`` did).
+re-reading and re-parsing per rule (what the first linter did).
 
 A :class:`Finding` is one problem at one location. Its ``fingerprint``
 deliberately excludes the line number, so a committed baseline survives
