@@ -18,5 +18,9 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.23", "scipy>=1.9"],
+    install_requires=["numpy>=1.23"],
+    # The package itself needs numpy only. The tests compare against
+    # scipy (erfinv, nnls, stats), and e2ebench's quality check uses
+    # scipy.stats.spearmanr.
+    extras_require={"test": ["scipy>=1.9", "pytest", "hypothesis"]},
 )

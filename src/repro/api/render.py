@@ -27,10 +27,10 @@ from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfinv
 
 from ..errors import WireError
 from ..feedback import FeedbackRecalibrator
+from ..mathstats.normal import erfinv
 from ..service.service import BatchColumns
 from .wire import (
     SCHEMA_VERSION,
@@ -56,7 +56,7 @@ __all__ = [
 
 def static_scale(confidence: float) -> float:
     """The static profile's scale: the normal quantile ``sqrt(2)·erfinv(c)``."""
-    return math.sqrt(2) * float(erfinv(confidence))
+    return math.sqrt(2) * erfinv(confidence)
 
 
 def nested_levels(

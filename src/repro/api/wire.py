@@ -68,7 +68,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from operator import call, itemgetter
 from typing import Any, Callable, NamedTuple
 
 from ..caching import CacheStats
@@ -135,11 +134,23 @@ def dumps(record: dict, *, indent: int | None = None) -> str:
         raise WireError(f"payload is not strict-JSON serializable: {error}") from None
 
 
+def _not_a_number(token: str):
+    raise WireError(
+        f"body is not valid JSON: {token} is not a JSON number", code="bad-json"
+    )
+
+
 def loads(text: str | bytes) -> dict:
-    """Parse a JSON body into a mapping, or raise a structured WireError."""
+    """Parse a JSON body into a mapping, or raise a structured WireError.
+
+    Strict JSON, like :func:`dumps`: the ``NaN`` and ``Infinity``
+    tokens python's json module would accept are refused, and so are an
+    integer literal longer than python converts (4,300 digits) and
+    nesting deeper than the interpreter's recursion limit.
+    """
     try:
-        record = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        record = json.loads(text, parse_constant=_not_a_number)
+    except (ValueError, RecursionError) as error:  # incl. JSONDecodeError
         raise WireError(f"body is not valid JSON: {error}", code="bad-json") from None
     if not isinstance(record, dict):
         raise WireError(
@@ -750,6 +761,15 @@ def _boolean(value):
     raise WireError(f"expected true or false, got {_shown(value)}")
 
 
+def _number(value):
+    if value.__class__ is float:
+        if math.isfinite(value):
+            return value
+    elif value.__class__ is int:
+        return float(value)
+    raise WireError(f"expected a finite number, got {_shown(value)}")
+
+
 def _array(value):
     if value.__class__ is list or value.__class__ is tuple:
         return value
@@ -763,7 +783,7 @@ def _scalar(decode, encode) -> _Kind:
 _STR = _scalar(_text, str)
 _INT = _scalar(_integer, int)
 _BOOL = _scalar(_boolean, bool)
-_FLOAT = _scalar(float, _finite)
+_FLOAT = _scalar(_number, _finite)
 
 
 def _tuple(kind: _Kind) -> _Kind:
@@ -859,31 +879,36 @@ def _table(
 
 
 def _reader(cls: type, fields: list[_Field]) -> Callable[[Any], Any]:
-    """The decoder building ``cls`` (positionally) from ``fields``' rows."""
-    name = cls.__name__
-    keys, converters, defaults = zip(*(
-        (field.key, field.kind.decode, field.default) for field in fields
-    ))
-    if len(keys) > 1:
-        pick = itemgetter(*keys)  # every key's value, KeyError if one is absent
-    else:
-        (key,) = keys
+    """The decoder building ``cls`` (positionally) from ``fields``' rows.
 
-        def pick(record):
-            return (record[key],)
-
-    def decode(record):
-        try:
-            try:
-                values = pick(record)
-            except KeyError:  # an absent key: read it as its default
-                values = map(record.get, keys, defaults)
-            return cls(*map(call, converters, values))
-        except _FAILURES as error:
-            rows = zip(keys, converters, defaults)
-            raise _decode_error(name, rows, record, error) from None
-
-    return decode
+    Compiled from the rows, as dataclasses compile ``__init__``: one
+    ``cls(c0(record["key"]), c1(record.get("key", d1)), ...)`` call,
+    a required key read by subscript and a defaulted one by ``get``.
+    Compiled rather than looping over the rows, because client decode
+    runs it once per record: 2,300 records in a 48-query batch answer.
+    """
+    rows = [(field.key, field.kind.decode, field.default) for field in fields]
+    namespace = {
+        "cls": cls, "name": cls.__name__, "rows": rows,
+        "_FAILURES": _FAILURES, "_decode_error": _decode_error,
+    }
+    arguments = []
+    for index, (key, convert, default) in enumerate(rows):
+        namespace[f"c{index}"] = convert
+        if default is _REQUIRED:
+            arguments.append(f"c{index}(record[{key!r}])")
+        else:
+            namespace[f"d{index}"] = default
+            arguments.append(f"c{index}(record.get({key!r}, d{index}))")
+    exec(  # noqa: S102 — source built from this module's own field tables
+        "def decode(record):\n"
+        "    try:\n"
+        f"        return cls({', '.join(arguments)})\n"
+        "    except _FAILURES as error:\n"
+        "        raise _decode_error(name, rows, record, error) from None\n",
+        namespace,
+    )
+    return namespace["decode"]
 
 
 def _failure(name: str, key: str, error: BaseException) -> WireError:
@@ -919,8 +944,8 @@ def _decode_error(name: str, rows, record, error: BaseException) -> WireError:
 def _decode_scales(value) -> tuple:
     return tuple(
         (
-            float(item["confidence"]),
-            None if item.get("scale") is None else float(item["scale"]),
+            _number(item["confidence"]),
+            None if item.get("scale") is None else _number(item["scale"]),
         )
         for item in _array(value)
     )

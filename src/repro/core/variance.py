@@ -28,6 +28,14 @@ Two implementations are provided:
 * :func:`assemble_distribution_parameters_reference` — the original
   pure-Python double loop over all term pairs, kept as the executable
   specification; tests cross-check the two within float tolerance.
+
+Every sum of products in the production path is elementwise products
+added left to right (:func:`sum_in_order`), never a BLAS call, so a
+served number depends on the program and its inputs, not on the BLAS
+kernel or the CPU it runs on. :func:`fold_unit_moments` is the one
+unit-space step: a single query calls it on one cell, the batch kernels
+(:mod:`repro.service.kernels`) on every cell of a batch at once, and
+its cells are bit for bit the same either way.
 """
 
 from __future__ import annotations
@@ -49,6 +57,8 @@ __all__ = [
     "VectorizedAssembler",
     "assemble_distribution_parameters",
     "assemble_distribution_parameters_reference",
+    "fold_unit_moments",
+    "sum_in_order",
 ]
 
 
@@ -84,6 +94,73 @@ def _canonical(monomial: dict[int, int]) -> tuple:
     return tuple(sorted(monomial.items()))
 
 
+#: Up to this many sums, :func:`sum_in_order` takes one
+#: ``np.add.accumulate`` call; beyond, one whole-array add per term.
+_ACCUMULATE_ROWS = 128
+
+
+def sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """``terms`` summed over its last axis strictly left to right.
+
+    ``((t[0] + t[1]) + t[2]) + ...``, so each element's bits depend only
+    on its own terms and their order, not on the array's shape or
+    layout, numpy's pairwise summation, or a BLAS kernel. An empty axis
+    sums to zeros. Few sums take ``np.add.accumulate``, which is
+    sequential by definition (``r[k] = r[k-1] + t[k]``) and costs one
+    call; many take one whole-array add per term, which is faster when
+    each add covers many sums. Both give the same bits.
+    """
+    count = terms.shape[-1]
+    if count == 0:
+        return np.zeros(terms.shape[:-1])
+    if terms.size <= _ACCUMULATE_ROWS * count:
+        return np.add.accumulate(terms, axis=-1)[..., -1]
+    total = terms[..., 0]
+    for k in range(1, count):
+        total = total + terms[..., k]
+    return total
+
+
+def fold_unit_moments(mu, sigma2, g_mean, covariances) -> tuple:
+    """Fold cost-unit distributions over unit-space moments (Algorithm 3).
+
+    ``mu`` and ``sigma2`` are the units' means and variances, ``g_mean``
+    is E[g_c] and ``covariances`` stacks the exact and the bounded part
+    of Cov(g_c, g_c') (:meth:`VectorizedAssembler.unit_moments`). Their
+    trailing axes run over ``COST_UNIT_NAMES`` (``(..., U)`` and
+    ``(..., 2, U, U)``); any leading axes broadcast, so one call serves
+    one cell or a whole batch. Returns ``(mean, variance, exact_part,
+    bounded_part, unit_part, per_unit_mean)``, where, for either
+    covariance part,
+
+        mean     = sum_c mu_c E[g_c]
+        unit     = sum_c sigma2_c E[g_c]^2
+        part     = sum_c (mu_c (sum_c' Cov(g_c, g_c') mu_c')
+                          + sigma2_c Cov(g_c, g_c))
+        variance = max((exact + bounded) + unit, 0.0)
+
+    Each sum runs left to right over the units (:func:`sum_in_order`)
+    and every other step is elementwise, so a cell's bits do not depend
+    on how many cells share the call.
+    """
+    per_unit_mean = mu * g_mean
+    mean = sum_in_order(per_unit_mean)
+    unit_part = sum_in_order(sigma2 * (g_mean * g_mean))
+    mu_row = mu[..., None, :]
+    weighted = sum_in_order(covariances * mu_row[..., None, :])
+    parts = sum_in_order(
+        mu_row * weighted
+        + sigma2[..., None, :] * np.diagonal(covariances, axis1=-2, axis2=-1)
+    )
+    exact_part = parts[..., 0]
+    bounded_part = parts[..., 1]
+    raw = (exact_part + bounded_part) + unit_part
+    # max(x, 0.0) in array form: np.where keeps -0.0 and NaN as python's
+    # max does, np.maximum would not.
+    variance = np.where(raw < 0.0, 0.0, raw)
+    return mean, variance, exact_part, bounded_part, unit_part, per_unit_mean
+
+
 def _selectivity_distributions(
     estimate: SamplingEstimate, options: VarianceOptions
 ) -> tuple[dict[int, tuple[float, float]], dict[int, NodeSelectivity]]:
@@ -104,10 +181,11 @@ class VectorizedAssembler:
 
     Construction extracts the polynomial structure (the expensive,
     options-independent part); :meth:`assemble` then evaluates the
-    distribution parameters for any (units, options) pair. The per-options
-    monomial kernel is cached, so fanning one prepared query out across
-    the four Variants and many interference-loaded unit sets (as the
-    batch service does) costs a handful of small matrix products each.
+    distribution parameters for any (units, options) pair. The
+    unit-space moments are cached per selectivity class, so fanning one
+    prepared query out across the four Variants and many
+    interference-loaded unit sets (as the batch service does) costs one
+    :func:`fold_unit_moments` each.
     """
 
     def __init__(self, planned, estimate: SamplingEstimate, fitted: dict):
@@ -136,22 +214,16 @@ class VectorizedAssembler:
         self._coefficients = np.zeros((len(COST_UNIT_NAMES), len(monomials)))
         for row, column, coefficient in entries:
             self._coefficients[row, column] += coefficient
-        self._kernels: dict[
-            VarianceOptions, tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = {}
-        self._unit_moments: dict[
-            VarianceOptions, tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = {}
+        self._unit_moments: dict[tuple[bool, bool], tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
-    def _kernel(
-        self, options: VarianceOptions
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(monomial means, exact kernel, bounded kernel) for one ablation."""
-        cached = self._kernels.get(options)
-        if cached is not None:
-            return cached
+    def _kernel(self, options: VarianceOptions) -> tuple[np.ndarray, np.ndarray]:
+        """(monomial means, kernels) for one ablation.
 
+        ``kernels`` stacks the exact then the bounded covariance kernel
+        of the distinct monomials: shape ``(2, M, M)``, symmetric in
+        its last two axes.
+        """
         distributions, selectivities = _selectivity_distributions(
             self._estimate, options
         )
@@ -167,8 +239,8 @@ class VectorizedAssembler:
             )
 
         related = self._ancestry.related
-        exact_kernel = np.zeros((size, size))
-        bound_kernel = np.zeros((size, size))
+        kernels = np.zeros((2, size, size))
+        exact_kernel, bound_kernel = kernels
         for i in range(size):
             active_i = active[i]
             if not active_i:
@@ -199,36 +271,49 @@ class VectorizedAssembler:
                 )
                 exact_kernel[i, j] = exact_kernel[j, i] = exact
                 bound_kernel[i, j] = bound_kernel[j, i] = bounded
-
-        self._kernels[options] = (means, exact_kernel, bound_kernel)
-        return means, exact_kernel, bound_kernel
+        return means, kernels
 
     # ------------------------------------------------------------------
     def unit_moments(
         self, options: VarianceOptions = VarianceOptions()
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(E[g_c], exact Cov(g, g'), bounded Cov(g, g'))`` in unit space.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(E[g_c], Cov(g_c, g_c'))`` in unit space.
 
         The monomial-space kernels contracted down to the fixed
-        ``len(COST_UNIT_NAMES)``-dimensional unit space: the shapes are
-        ``(U,)``, ``(U, U)``, ``(U, U)``. These are the only
-        plan-dependent inputs :meth:`assemble` needs, and they do not
-        depend on the unit distributions, so the batch kernel caches
-        them here once per (plan, options) and folds any number of
-        mpl-loaded unit sets over them. The expressions are verbatim
-        those of :meth:`assemble` — callers rely on the contraction
-        being bitwise-identical to the scalar path.
+        ``len(COST_UNIT_NAMES)``-dimensional unit space: E[g_c] has
+        shape ``(U,)``, and the covariances ``(2, U, U)``, the exact
+        part then the bounded part. These are the only plan-dependent
+        inputs :func:`fold_unit_moments` needs, and they do not depend
+        on the unit distributions. Nor do they depend on
+        ``include_cost_unit_variance``, so they are computed and cached
+        once per selectivity class: All and NoVar[c] share one pair.
+
+        With S the (U, M) coefficient matrix and K a kernel,
+        ``E[g_c] = sum_m S[c, m] E[m]`` and
+        ``Cov = sum_n (sum_m S[c, m] K[m, n]) S[c', n]``, each sum left
+        to right over the monomials (:func:`sum_in_order`).
         """
-        cached = self._unit_moments.get(options)
+        key = (
+            options.include_selectivity_variance,
+            options.include_cross_covariances,
+        )
+        cached = self._unit_moments.get(key)
         if cached is not None:
             return cached
-        means, exact_kernel, bound_kernel = self._kernel(options)
+        means, kernels = self._kernel(options)
         coefficients = self._coefficients
-        g_mean = coefficients @ means
-        exact_cov = coefficients @ exact_kernel @ coefficients.T
-        bound_cov = coefficients @ bound_kernel @ coefficients.T
-        cached = (g_mean, exact_cov, bound_cov)
-        self._unit_moments[options] = cached
+        # [k, c, n, m] = S[c, m] * K_k[m, n], summed over m, then
+        # [k, c, c', n] = (S K_k)[c, n] * S[c', n], summed over n.
+        left = sum_in_order(
+            coefficients[None, :, None, :] * kernels.transpose(0, 2, 1)[:, None]
+        )
+        # Compact copies: the sums are views into scratch arrays M times
+        # their size, and the cache lives as long as the prepared plan.
+        cached = (
+            np.ascontiguousarray(sum_in_order(coefficients * means)),
+            np.ascontiguousarray(sum_in_order(left[:, :, None, :] * coefficients)),
+        )
+        self._unit_moments[key] = cached
         return cached
 
     # ------------------------------------------------------------------
@@ -238,37 +323,22 @@ class VectorizedAssembler:
         options: VarianceOptions = VarianceOptions(),
     ) -> VarianceBreakdown:
         """Evaluate (E[t_q], Var[t_q]) for one set of unit distributions."""
-        means, exact_kernel, bound_kernel = self._kernel(options)
-        coefficients = self._coefficients
-
-        g_mean = coefficients @ means  # E[g_c] per unit
+        g_mean, covariances = self.unit_moments(options)
         mu = np.array([units.mean(name) for name in COST_UNIT_NAMES])
         if options.include_cost_unit_variance:
             sigma2 = np.array([units.variance(name) for name in COST_UNIT_NAMES])
         else:
             sigma2 = np.zeros(len(COST_UNIT_NAMES))
-
-        # Cov(g_c, g_c') over both kernels; then weight the unit pairs by
-        # mu_c mu_c' (+ sigma_c^2 on the diagonal) exactly as in Eq. above.
-        exact_cov = coefficients @ exact_kernel @ coefficients.T
-        bound_cov = coefficients @ bound_kernel @ coefficients.T
-        weights = np.outer(mu, mu) + np.diag(sigma2)
-
-        mean = float(mu @ g_mean)
-        exact_part = float((weights * exact_cov).sum())
-        bounded_part = float((weights * bound_cov).sum())
-        unit_part = float(sigma2 @ (g_mean * g_mean))
-        variance = max(exact_part + bounded_part + unit_part, 0.0)
+        mean, variance, exact_part, bounded_part, unit_part, per_unit_mean = (
+            fold_unit_moments(mu, sigma2, g_mean, covariances)
+        )
         return VarianceBreakdown(
-            mean=mean,
-            variance=variance,
-            exact_selectivity_term=exact_part,
-            bounded_covariance_term=bounded_part,
-            cost_unit_term=unit_part,
-            per_unit_mean={
-                name: float(mu[row] * g_mean[row])
-                for row, name in enumerate(COST_UNIT_NAMES)
-            },
+            mean=float(mean),
+            variance=float(variance),
+            exact_selectivity_term=float(exact_part),
+            bounded_covariance_term=float(bounded_part),
+            cost_unit_term=float(unit_part),
+            per_unit_mean=dict(zip(COST_UNIT_NAMES, per_unit_mean.tolist())),
         )
 
 

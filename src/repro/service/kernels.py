@@ -5,21 +5,18 @@ These kernels serve every prediction: a batch through
 single query as a batch of one. Serving one query on its own — the
 scalar loop kept as ``predict_query_oracle`` in
 ``tests/batch_oracle.py`` — fans variants x mpls through
-:meth:`~repro.core.variance.VectorizedAssembler.assemble`, every call
-redoing the monomial-to-unit-space kernel contraction (two MxM matrix
-products) and paying python call overhead per (variant, mpl)
-combination, then one scalar quantile per interval bound. The kernels
-instead run as structure-of-arrays:
+:meth:`~repro.core.variance.VectorizedAssembler.assemble`, one python
+call per (variant, mpl) combination, then one scalar quantile per
+interval bound. The kernels instead run as structure-of-arrays:
 
 1. :func:`build_batch_plan` interns every query's plan signature and
    dedups duplicate plans into one slot per distinct plan;
-2. :func:`assemble_batch` evaluates Algorithm-3 variance assembly for
-   every (plan, variant, mpl) combination over shared ``(P, V, L)``
-   arrays, pulling each plan's cached unit-space moments
-   (:meth:`~repro.core.variance.VectorizedAssembler.unit_moments`) once
-   per *selectivity-option class* — variants differing only in
-   ``include_cost_unit_variance`` share bit-identical moments — instead
-   of re-contracting per (variant, mpl);
+2. :func:`assemble_batch` gathers each plan's cached unit-space moments
+   (:meth:`~repro.core.variance.VectorizedAssembler.unit_moments`) and
+   folds every mpl's unit distributions over them for every (plan,
+   variant, mpl) combination in one
+   :func:`~repro.core.variance.fold_unit_moments` call over shared
+   ``(P, V, L)`` arrays;
 3. :func:`batch_intervals` evaluates every confidence-interval bound
    for the whole batch in one broadcast.
 
@@ -30,21 +27,16 @@ bit-identical to what the scalar per-query loop
 :meth:`~repro.core.predictor.PredictionResult.confidence_interval`)
 produces for the same inputs — ``tests/test_kernels.py`` enforces this
 differentially over hundreds of randomized batches, against
-``predict_query_oracle``. That constraint shapes the implementation:
-
-* Row-wise reductions use formulations verified bit-identical to their
-  scalar counterparts on this stack: ``(W[None] * C).reshape(P, U*U)
-  .sum(axis=1)`` matches per-plan ``(W * C).sum()`` because numpy's
-  pairwise summation order over a C-contiguous (U, U) block is the same
-  either way; elementwise broadcasting, ``np.sqrt``, and
-  ``np.where``-based clamps match their scalar ``math`` equivalents
-  exactly.
-* The two length-U unit-space contractions (``mu @ g`` and
-  ``sigma2 @ (g * g)``) stay per-plan ``np.dot`` calls inside a small
-  python loop: BLAS ddot accumulates with FMA, and no pure-numpy
-  batched formulation (matmul, einsum, elementwise+sum under any
-  association order) reproduces its bits — only the same op on the
-  same operands does. See docs/service.md.
+``predict_query_oracle``. It holds by construction: both paths call
+the same :func:`~repro.core.variance.fold_unit_moments`, whose sums run
+left to right over the cost units
+(:func:`~repro.core.variance.sum_in_order`) and whose other steps are
+elementwise, so a cell's bits do not depend on the batch around it.
+No step calls BLAS. The interval coefficients come from the scalar
+:func:`~repro.mathstats.normal.erfinv` on the scalar path's own
+arguments, and elementwise broadcasting, ``np.sqrt`` and
+``np.where``-based clamps match their scalar ``math`` equivalents
+exactly.
 """
 
 from __future__ import annotations
@@ -54,10 +46,11 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfinv
 
 from ..core.concurrency import ConcurrentPredictor
 from ..core.predictor import VARIANT_OPTIONS, PreparedPrediction, Variant
+from ..core.variance import fold_unit_moments
+from ..mathstats.normal import erfinv
 from ..optimizer.cost_model import COST_UNIT_NAMES
 from ..optimizer.optimizer import PlannedQuery
 from .cache import plan_signature
@@ -71,6 +64,11 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2)
+
+_UNITS = len(COST_UNIT_NAMES)
+
+#: The unit-space moments a failed plan's rows are folded over.
+_NO_MOMENTS = (np.zeros(_UNITS), np.zeros((2, _UNITS, _UNITS)))
 
 
 @dataclass
@@ -167,135 +165,50 @@ def assemble_batch(
     variants = tuple(variants)
     mpls = tuple(mpls)
     plans = len(batch_plan)
-    num_variants = len(variants)
-    num_mpls = len(mpls)
-    num_units = len(COST_UNIT_NAMES)
+    options = [VARIANT_OPTIONS[variant] for variant in variants]
 
-    # The unit-space moments depend only on the selectivity flags of
-    # VarianceOptions — include_selectivity_variance routes variances
-    # into the monomial distributions, include_cross_covariances routes
-    # nested-operator pairs to the Section 5.3.2 bounds — while
-    # include_cost_unit_variance first appears in the sigma2 weighting
-    # below. Variants sharing a (selectivity, covariance) class (All and
-    # NoVar[c]) therefore produce bit-identical moments from the same
-    # expressions on the same inputs, so gather and contract once per
-    # class and fan the columns out to every variant in the class.
-    class_index: dict[tuple[bool, bool], int] = {}
-    class_of: list[int] = []
-    class_options: list[VarianceOptions] = []
-    for variant in variants:
-        options = VARIANT_OPTIONS[variant]
-        key = (
-            options.include_selectivity_variance,
-            options.include_cross_covariances,
-        )
-        index = class_index.get(key)
-        if index is None:
-            index = len(class_options)
-            class_index[key] = index
-            class_options.append(options)
-        class_of.append(index)
-    num_classes = len(class_options)
-
-    # Stage A: gather each distinct plan's cached unit-space moments —
-    # E[g_c] and the two covariance contractions — into (P, C, ...)
-    # arrays. Slice assignment copies float64 values bit-exactly.
-    g_mean = np.zeros((plans, num_classes, num_units))
-    exact_cov = np.zeros((plans, num_classes, num_units, num_units))
-    bound_cov = np.zeros((plans, num_classes, num_units, num_units))
+    # Stage A: each distinct plan's cached unit-space moments — E[g_c]
+    # and the two covariance parts — per variant, stacked into
+    # (P, V, ...) arrays. unit_moments caches them per selectivity
+    # class, so All and NoVar[c] read one pair.
+    moments = []
     plan_errors: dict[int, BaseException] = {}
     for slot in range(plans):
         try:
             assembler = batch_plan.prepared[slot].assembler(batch_plan.planned[slot])
-            for ci, options in enumerate(class_options):
-                moments = assembler.unit_moments(options)
-                g_mean[slot, ci] = moments[0]
-                exact_cov[slot, ci] = moments[1]
-                bound_cov[slot, ci] = moments[2]
+            moments.append([assembler.unit_moments(option) for option in options])
         except Exception as error:  # noqa: BLE001 — per-plan isolation
             if not isolate:
                 raise
             plan_errors[slot] = error
-    moments_finite = bool(np.isfinite(g_mean).all())
+            moments.append([_NO_MOMENTS] * len(options))
 
-    # Stage B: fold every mpl's loaded unit distributions over the
-    # stacked moments.
-    shape = (plans, num_variants, num_mpls)
-    mean = np.zeros(shape)
-    exact_part = np.zeros(shape)
-    bounded_part = np.zeros(shape)
-    unit_part = np.zeros(shape)
-    per_unit_mean = np.zeros(shape + (num_units,))
-    zeros_u = np.zeros(num_units)
-    flat = num_units * num_units
-    for li, mpl in enumerate(mpls) if plans else ():
-        units = concurrent.predictor_at(mpl).units
-        # Verbatim scalar expressions (VectorizedAssembler.assemble):
-        # identical construction yields bit-identical mu / sigma2.
-        mu = np.array([units.mean(name) for name in COST_UNIT_NAMES])
-        sigma2_full = np.array(
-            [units.variance(name) for name in COST_UNIT_NAMES]
+    shape = (plans, len(variants), len(mpls))
+    if not plans:
+        return BatchAssembly(
+            variants, mpls, *(np.zeros(shape) for _ in range(6)),
+            np.zeros(shape + (_UNITS,)),
         )
-        # The two unit-space contractions must stay per-plan np.dot
-        # calls: BLAS ddot accumulates with FMA and no batched
-        # formulation reproduces its bits — only the same op on the
-        # same operands does (module docstring). They depend only on
-        # the moment class, so run them once per class, not per
-        # variant; the unit contraction uses the full sigma2 (the
-        # zero-sigma2 regime is handled below).
-        class_mean = np.zeros((plans, num_classes))
-        class_unit = np.zeros((plans, num_classes))
-        for ci in range(num_classes):
-            gv = g_mean[:, ci, :]
-            mean_col = class_mean[:, ci]
-            unit_col = class_unit[:, ci]
-            for slot in range(plans):
-                row = gv[slot]
-                mean_col[slot] = mu @ row
-                unit_col[slot] = sigma2_full @ (row * row)
-        # Two sigma2 regimes exist across the four variants (unit
-        # variance on or off); the weights matrix depends only on the
-        # regime, so build each at most once per mpl. The expression is
-        # verbatim the scalar one — reuse is bit-exact.
-        weights_by_regime: dict[bool, np.ndarray] = {}
-        for vi, variant in enumerate(variants):
-            options = VARIANT_OPTIONS[variant]
-            include = options.include_cost_unit_variance
-            ci = class_of[vi]
-            weights = weights_by_regime.get(include)
-            if weights is None:
-                sigma2 = sigma2_full if include else zeros_u
-                weights = np.outer(mu, mu) + np.diag(sigma2)
-                weights_by_regime[include] = weights
-            gv = g_mean[:, ci, :]
-            mean[:, vi, li] = class_mean[:, ci]
-            if include:
-                unit_part[:, vi, li] = class_unit[:, ci]
-            elif not moments_finite:
-                # ddot(zeros, g * g) is exactly +0.0 for finite g — the
-                # zero-initialized rows already match the scalar loop.
-                # A non-finite g would make the scalar contraction NaN,
-                # so only then compute it explicitly.
-                unit_col = unit_part[:, vi, li]
-                for slot in range(plans):
-                    row = gv[slot]
-                    unit_col[slot] = zeros_u @ (row * row)
-            exact_part[:, vi, li] = (
-                (weights[None, :, :] * exact_cov[:, ci])
-                .reshape(plans, flat)
-                .sum(axis=1)
-            )
-            bounded_part[:, vi, li] = (
-                (weights[None, :, :] * bound_cov[:, ci])
-                .reshape(plans, flat)
-                .sum(axis=1)
-            )
-            per_unit_mean[:, vi, li, :] = mu[None, :] * gv
 
-    # max(x, 0.0) in array form: np.where matches python max for
-    # -0.0 and NaN operands, np.maximum would not.
-    raw_variance = (exact_part + bounded_part) + unit_part
-    variance = np.where(raw_variance < 0.0, 0.0, raw_variance)
+    # Stage B: every mpl's loaded unit distributions, (L, U) and
+    # (V, L, U), folded over the (P, V, 1, ...) moments in one call.
+    # The units are built with the scalar path's expressions, and a
+    # variant without unit variance gets exact zeros, as it does there.
+    g_mean = np.array([[pair[0] for pair in row] for row in moments])[:, :, None]
+    covariances = np.array([[pair[1] for pair in row] for row in moments])[:, :, None]
+    loaded = [concurrent.predictor_at(mpl).units for mpl in mpls]
+    mu = np.array([[units.mean(name) for name in COST_UNIT_NAMES] for units in loaded])
+    sigma2 = np.array([
+        [
+            [units.variance(name) if option.include_cost_unit_variance else 0.0
+             for name in COST_UNIT_NAMES]
+            for units in loaded
+        ]
+        for option in options
+    ])
+    mean, variance, exact_part, bounded_part, unit_part, per_unit_mean = (
+        fold_unit_moments(mu, sigma2, g_mean, covariances)
+    )
     return BatchAssembly(
         variants=variants,
         mpls=mpls,
@@ -327,11 +240,12 @@ def batch_intervals(
         if not 0.0 < confidence < 1.0:
             raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     # The (confidence, side) erfinv coefficients, hoisted out of the
-    # array pass. The expressions are verbatim the scalar quantile
-    # path's ``2 * p - 1`` for ``p = tail`` and ``p = 1.0 - tail``,
-    # elementwise, so every coefficient has the scalar path's bits.
-    tails = (1.0 - np.array(confidences, dtype=np.float64)) / 2.0
-    coefficients = erfinv(np.stack([2 * tails - 1, 2 * (1.0 - tails) - 1], axis=-1))
+    # array pass: the scalar quantile path's own expressions, ``2 * p -
+    # 1`` for ``p = tail`` and ``p = 1.0 - tail``, in python floats.
+    tails = [(1.0 - confidence) / 2.0 for confidence in confidences]
+    coefficients = np.array(
+        [[erfinv(2 * tail - 1), erfinv(2 * (1.0 - tail) - 1)] for tail in tails]
+    ).reshape(len(tails), 2)
     mean = assembly.mean[..., None, None]
     quantile = mean + (assembly.std * _SQRT2)[..., None, None] * coefficients
     point_mass = (assembly.variance == 0.0)[..., None, None]

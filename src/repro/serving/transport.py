@@ -166,6 +166,10 @@ class ServingHandler(BaseHTTPRequestHandler):
     # *while holding an admission slot* — max_in_flight such clients
     # would wedge the server permanently.
     timeout = 60
+    # TCP_NODELAY. An answer goes out as two sends, headers then body;
+    # with Nagle's algorithm on, the body waits for the client's delayed
+    # ACK of the headers, ~44 ms an answer on a kept-alive connection.
+    disable_nagle_algorithm = True
 
     # The default handler logs every request line to stderr; serving
     # benchmarks would drown in it.
@@ -191,8 +195,9 @@ class ServingHandler(BaseHTTPRequestHandler):
 
         ``Content-Length`` must be a plain decimal count of 1 to
         :data:`MAX_BODY_BYTES` bytes, and the body must deliver all of
-        it; anything else is refused as 400 ``bad-request``, the length
-        before a body byte is read.
+        it, each read within the handler's ``timeout``; anything else is
+        refused as 400 ``bad-request`` (which closes the connection),
+        the length before a body byte is read.
         """
         declared = (self.headers.get("Content-Length") or "0").strip(" \t")
         if not (declared.isascii() and declared.isdigit()):
@@ -210,7 +215,13 @@ class ServingHandler(BaseHTTPRequestHandler):
         length = int(digits)
         if length == 0:
             raise WireError("request needs a JSON body with Content-Length")
-        body = self.rfile.read(length)
+        try:
+            body = self.rfile.read(length)
+        except TimeoutError:
+            raise WireError(
+                f"body stalled: no data for {self.timeout} s of "
+                f"{length} declared bytes"
+            ) from None
         if len(body) < length:
             raise WireError(
                 f"body ended after {len(body)} of {length} declared bytes"

@@ -7,9 +7,11 @@ the in-process :class:`repro.api.Session`, the acceptance criterion of
 the serving front-end.
 """
 
+import http.client
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -31,7 +33,7 @@ from repro.errors import (
     WireError,
 )
 from repro.serving import build_server, status_for_error
-from repro.serving.transport import MAX_BODY_BYTES
+from repro.serving.transport import MAX_BODY_BYTES, ServingHandler
 from repro.util import ensure_rng
 from repro.workloads.tpch_templates import TPCH_TEMPLATES
 
@@ -179,25 +181,49 @@ class TestErrorTaxonomy:
         assert status_for_error(RuntimeError("x")) == 500
 
     @pytest.mark.parametrize(
-        "path, body",
+        "path, body, code",
         [
-            ("/v1/predict", '{"sql": "%s", "mpls": [1e999]}' % SQL),
-            ("/v1/predict", '{"sql": "%s", "mpls": [1.7]}' % SQL),
-            ("/v1/predict-batch", '{"queries": ["%s"], "mpls": [Infinity]}' % SQL),
-            ("/v1/predict-batch", '{"queries": ["%s"], "skip_failures": "no"}' % SQL),
-            ("/v1/observe", '{"sql": "%s", "actual_seconds": "x"}' % SQL),
-            ("/v1/observe", '{"sql": "%s", "actual_seconds": [1]}' % SQL),
-            ("/v1/observe", '{"sql": "%s", "actual_seconds": 1, "mpl": "x"}' % SQL),
-            ("/v1/observe", '{"sql": "%s", "actual_seconds": 1, "mpl": 1e999}' % SQL),
+            ("/v1/predict", '{"sql": "%s", "mpls": [1e999]}' % SQL, "bad-request"),
+            ("/v1/predict", '{"sql": "%s", "mpls": [1.7]}' % SQL, "bad-request"),
+            # Infinity is not a JSON number: refused while parsing.
+            (
+                "/v1/predict-batch",
+                '{"queries": ["%s"], "mpls": [Infinity]}' % SQL,
+                "bad-json",
+            ),
+            (
+                "/v1/predict-batch",
+                '{"queries": ["%s"], "skip_failures": "no"}' % SQL,
+                "bad-request",
+            ),
+            ("/v1/observe", '{"sql": "%s", "actual_seconds": "x"}' % SQL, "bad-request"),
+            ("/v1/observe", '{"sql": "%s", "actual_seconds": [1]}' % SQL, "bad-request"),
+            (
+                "/v1/observe",
+                '{"sql": "%s", "actual_seconds": 1, "mpl": "x"}' % SQL,
+                "bad-request",
+            ),
+            (
+                "/v1/observe",
+                '{"sql": "%s", "actual_seconds": 1, "mpl": 1e999}' % SQL,
+                "bad-request",
+            ),
+            # More digits than python converts to an int: not a 500.
+            (
+                "/v1/predict",
+                '{"sql": "%s", "mpls": [%s]}' % (SQL, "1" * 5000),
+                "bad-json",
+            ),
         ],
         ids=[
             "predict-mpl-overflow", "predict-mpl-fraction",
             "batch-mpl-infinity", "batch-skip-failures-string",
             "observe-actual-string", "observe-actual-list",
             "observe-mpl-string", "observe-mpl-overflow",
+            "predict-mpl-5000-digits",
         ],
     )
-    def test_malformed_fields_are_400_not_500(self, server, path, body):
+    def test_malformed_fields_are_400_not_500(self, server, path, body, code):
         """A field of the wrong kind is a payload error, never a 500 or a
         silent misreading (``1.7`` is not an mpl, ``"no"`` not a bool)."""
         request = urllib.request.Request(
@@ -207,7 +233,7 @@ class TestErrorTaxonomy:
             urllib.request.urlopen(request, timeout=30)
         record = json.loads(caught.value.read())
         assert caught.value.code == 400
-        assert record["error"]["code"] == "bad-request"
+        assert record["error"]["code"] == code
         assert server.app.policy.stats().in_flight == 0
 
     @pytest.mark.parametrize(
@@ -335,6 +361,52 @@ class TestContentLength:
     def test_exact_length_with_leading_zeros_is_served(self, server):
         reply = _raw_post(server, "00%d" % len(PREDICT_BODY))
         assert reply.startswith(b"HTTP/1.1 200 ")
+
+    def test_stalled_body_is_refused_with_a_coded_400(
+        self, server, client, monkeypatch
+    ):
+        """A client that declares a body and stops sending it is refused
+        once the handler's socket timeout passes, not answered 500."""
+        monkeypatch.setattr(ServingHandler, "timeout", 0.5)
+        address = server.server_address[:2]
+        with socket.create_connection(address, timeout=30) as conn:
+            conn.sendall(
+                b"POST /v1/predict HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: 100\r\n\r\n" + PREDICT_BODY[:8]
+            )
+            reply = b""
+            while chunk := conn.recv(65536):
+                reply += chunk
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(payload)["error"]["code"] == "bad-request"
+        assert server.app.policy.in_flight() == 0
+        assert client.predict(SQL).results
+
+
+class TestKeepAlive:
+    """Answers on one persistent connection do not wait for the client's
+    delayed ACK: the server sends with Nagle's algorithm off."""
+
+    def test_requests_on_one_connection_do_not_stall(self, server):
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            started = time.perf_counter()
+            for _ in range(25):
+                connection.request(
+                    "POST", "/v1/predict", body=PREDICT_BODY,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        # Stalled on delayed ACKs, 25 answers take over a second.
+        assert elapsed < 0.5, elapsed
 
 
 class TestObserveLoop:

@@ -286,6 +286,23 @@ class TestErrorBodies:
         assert caught.value.code == "bad-json"
         with pytest.raises(WireError):
             loads(b"[1, 2, 3]")
+        # An integer literal past python's int-conversion limit, and
+        # nesting past the recursion limit.
+        deep = "[" * 100_000 + "]" * 100_000
+        for text in ('{"mpls": [%s]}' % ("1" * 5000), deep):
+            with pytest.raises(WireError) as caught:
+                loads(text)
+            assert caught.value.code == "bad-json"
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_loads_refuses_what_dumps_refuses(self, token):
+        """The NaN/Infinity tokens python's json module accepts are not
+        JSON: ``dumps`` never writes them, and ``loads`` refuses them."""
+        with pytest.raises(WireError) as caught:
+            loads('{"sql": "S", "confidences": [%s]}' % token)
+        assert caught.value.code == "bad-json"
+        with pytest.raises(WireError):
+            dumps({"x": float(token.lower().replace("infinity", "inf"))})
 
 
 def sample_feedback_stats() -> FeedbackStats:
@@ -511,6 +528,21 @@ class TestKinds:
             (Observation, {"sql": "S", "actual_seconds": 1, "mpl": "x"}, "mpl"),
             (Observation, {"sql": "S", "actual_seconds": 1, "mpl": 1e300}, "mpl"),
             (ObserveResponse, {"active": "yes"}, "active"),
+            # Float fields take finite JSON numbers only.
+            (PredictRequest, {"sql": "S", "confidences": ["0.9"]}, "confidences"),
+            (PredictRequest, {"sql": "S", "confidences": [True]}, "confidences"),
+            (Observation, {"sql": "S", "actual_seconds": True}, "actual_seconds"),
+            (Observation, {"sql": "S", "actual_seconds": "2.5"}, "actual_seconds"),
+            (
+                Observation,
+                {"sql": "S", "actual_seconds": float("inf")},
+                "actual_seconds",
+            ),
+            (
+                ObserveResponse,
+                {"scale": float("nan"), "window_fill": 1, "observations": 1},
+                "scale",
+            ),
         ],
     )
     def test_wrong_kind_names_the_field(self, cls, record, field):
@@ -518,6 +550,42 @@ class TestKinds:
             cls.from_dict(record)
         assert caught.value.code == "bad-request"
         assert f"{cls.__name__}.{field}" in str(caught.value)
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            ({"confidence": 0.9, "low": "Infinity", "high": "nan"}, "low"),
+            ({"confidence": 0.9, "low": 1.0, "high": "nan"}, "high"),
+            ({"confidence": 0.9, "low": float("-inf"), "high": 1.0}, "low"),
+            ({"confidence": 0.9, "low": 1.0, "high": float("nan")}, "high"),
+            ({"confidence": True, "low": 1.0, "high": 2.0}, "confidence"),
+            ({"confidence": "0.9", "low": 1.0, "high": 2.0}, "confidence"),
+            ({"confidence": 0.9, "low": None, "high": 2.0}, "low"),
+            ({"confidence": 0.9, "low": 10**400, "high": 2.0}, "low"),
+        ],
+    )
+    def test_floats_are_finite_json_numbers(self, record, field):
+        with pytest.raises(WireError) as caught:
+            decode(IntervalPayload, record)
+        assert caught.value.code == "bad-request"
+        assert f"IntervalPayload.{field}" in str(caught.value)
+
+    def test_integers_decode_as_floats(self):
+        interval = decode(IntervalPayload, {"confidence": 0.9, "low": 0, "high": 2})
+        assert interval == IntervalPayload(0.9, 0.0, 2.0)
+        assert type(interval.low) is float and type(interval.high) is float
+
+    def test_feedback_scales_are_strict(self):
+        record = {
+            "tenant": "t", "observations": 3,
+            "scales": [{"confidence": "0.5", "scale": 1.0}],
+        }
+        with pytest.raises(WireError) as caught:
+            decode(FeedbackApplied, record)
+        assert "FeedbackApplied.scales" in str(caught.value)
+        record["scales"] = [{"confidence": 0.5, "scale": True}]
+        with pytest.raises(WireError):
+            decode(FeedbackApplied, record)
 
     def test_missing_required_key_names_it(self):
         with pytest.raises(WireError) as caught:

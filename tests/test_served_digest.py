@@ -4,8 +4,9 @@
 server. Its digests are only useful if two builds of one tree agree, so
 the corpus is built twice in one process, each time from a fresh
 database and calibration of the tool's own ``CONFIG``, and every
-category must hash the same. Expected digests are not pinned: they
-depend on the BLAS kernel numpy picks at run time.
+category must hash the same. Expected digests are not pinned: through
+the least-squares solves of cost-function fitting, they depend on the
+BLAS kernel numpy picks at run time.
 """
 
 import importlib.util

@@ -596,6 +596,108 @@ class TestDeterminism:
         assert findings == []
 
 
+    # Served numerics: no BLAS outside NNLS, no scipy anywhere.
+
+    @pytest.mark.parametrize("source, what", [
+        pytest.param("def f(a, b):\n    return a @ b\n", "@ operator", id="matmul-op"),
+        pytest.param("def f(a, b):\n    a @= b\n", "@ operator", id="matmul-augassign"),
+        pytest.param(
+            "import numpy as np\ny = np.dot([1.0], [2.0])\n", "numpy.dot()", id="np.dot"
+        ),
+        pytest.param("def f(a, b):\n    return a.dot(b)\n", ".dot()", id="method-dot"),
+        pytest.param(
+            "import numpy as np\ny = np.matmul([[1.0]], [[2.0]])\n", "numpy.matmul()",
+            id="np.matmul",
+        ),
+        pytest.param(
+            "import numpy\ny = numpy.inner([1.0], [2.0])\n", "numpy.inner()",
+            id="numpy.inner",
+        ),
+        pytest.param(
+            "from numpy import vdot\ny = vdot([1.0], [2.0])\n", "numpy.vdot()",
+            id="from-numpy-import-vdot",
+        ),
+        pytest.param(
+            "import numpy as np\ny = np.tensordot([1.0], [2.0], 1)\n",
+            "numpy.tensordot()", id="np.tensordot",
+        ),
+        pytest.param(
+            "import numpy as np\ny = np.linalg.solve([[1.0]], [1.0])\n",
+            "numpy.linalg.solve()", id="np.linalg.solve",
+        ),
+        pytest.param(
+            "from numpy.linalg import lstsq\ny = lstsq([[1.0]], [1.0])\n",
+            "numpy.linalg.lstsq()", id="from-numpy.linalg-import-lstsq",
+        ),
+    ])
+    def test_blas_flagged_outside_nnls(self, source, what):
+        for path in (
+            "src/repro/core/variance.py",
+            "src/repro/service/kernels.py",
+            "src/repro/serving/app.py",
+            "src/repro/costfuncs/fitting.py",
+        ):
+            (finding,) = run_rule("determinism", source, path=path)
+            assert what in finding.message
+            assert "BLAS" in finding.message
+
+    def test_blas_allowed_in_nnls_only(self):
+        source = (
+            "import numpy as np\n"
+            "def solve(A, y, x):\n"
+            "    residual = y - A @ x\n"
+            "    return np.linalg.lstsq(A, y, rcond=None), A.T.dot(residual)\n"
+        )
+        assert run_rule("determinism", source, path="src/repro/costfuncs/nnls.py") == []
+        assert run_rule("determinism", source, path="tests/test_nnls.py") == []
+        assert run_rule("determinism", source, path=BENCH_PATH) == []
+
+    def test_elementwise_sums_stay_clean(self):
+        source = (
+            "import numpy as np\n"
+            "def f(mu, g):\n"
+            "    return np.add.accumulate(mu * g, axis=-1)[..., -1], (mu * g).sum()\n"
+        )
+        assert run_rule("determinism", source, path="src/repro/core/variance.py") == []
+
+    @pytest.mark.parametrize("source", [
+        pytest.param("import scipy\n", id="import-scipy"),
+        pytest.param("import scipy.special as sp\n", id="import-scipy.special"),
+        pytest.param("from scipy.special import erfinv\n", id="from-scipy.special"),
+        pytest.param("from scipy import stats\n", id="from-scipy"),
+    ])
+    def test_scipy_import_flagged_anywhere_in_src(self, source):
+        for path in (
+            "src/repro/mathstats/normal.py",
+            "src/repro/api/render.py",
+            "src/repro/costfuncs/nnls.py",
+        ):
+            (finding,) = run_rule("determinism", source, path=path)
+            assert "scipy" in finding.message
+        assert run_rule("determinism", source, path="tests/test_mathstats.py") == []
+        assert run_rule("determinism", source, path="e2ebench/checks.py") == []
+
+    def test_numerics_do_not_widen_the_rng_scope(self):
+        # serving/ is outside the RNG rule's trees; only the numerics
+        # half of the rule reads it.
+        assert run_rule("determinism", JITTER, path="src/repro/serving/opt.py") == []
+        (finding,) = run_rule(
+            "determinism", "import scipy\n", path="src/repro/serving/opt.py"
+        )
+        assert "scipy" in finding.message
+
+    def test_real_src_tree_is_clean(self):
+        check = ALL_CHECKS["determinism"]
+        paths = sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+        assert paths
+        findings = []
+        for path in paths:
+            ctx = FileContext(path, root=REPO_ROOT)
+            assert check.applies(ctx), ctx.rel
+            findings.extend(check.run(ctx))
+        assert findings == []
+
+
 # ---------------------------------------------------------------------------
 # dead imports and stale exports
 
@@ -669,12 +771,12 @@ class TestVectorization:
         assert "'total'" in finding.message
 
     def test_subscript_writes_stay_legal(self):
-        # The bitwise-mandated per-plan ddot loop writes array slots.
+        # A loop writing array slots accumulates into no python scalar.
         source = (
-            "def f(out, gv, mu, plans):\n"
+            "def f(out, gv, plans):\n"
             "    for slot in range(plans):\n"
             "        row = gv[slot]\n"
-            "        out[slot] = mu @ row\n"
+            "        out[slot] = row.sum()\n"
         )
         assert run_rule("vectorization", source, path=KERNEL_PATH) == []
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.api.wire import (
+    _TABLES,
     AdmissionStats,
     BatchRequest,
     BatchResponse,
@@ -40,11 +41,16 @@ SEED = 20140901
 #: A tier-1 budget: the cases decode in well under two seconds.
 CASES = 2000
 #: Replacement values: every JSON type, plus the numbers JSON parsers
-#: turn into non-finite or oversized Python values.
+#: turn into non-finite or oversized Python values, and numbers spelled
+#: as strings.
 SWAPS = (
     None, True, False, 0, -3, 2.5, 10**400, float("inf"), float("-inf"),
-    float("nan"), "", "x", [], [1, "a"], {}, {"k": None},
+    float("nan"), "", "x", "0.9", "Infinity", "nan", [], [1, "a"], {},
+    {"k": None},
 )
+#: What a float field must refuse: booleans, numbers spelled as
+#: strings, and non-finite numbers.
+NOT_FLOATS = (True, False, "0.9", "2", "Infinity", "nan", float("inf"), float("nan"))
 
 
 def _response(sql, feedback=None):
@@ -167,6 +173,34 @@ def test_decoders_return_or_raise_wire_error():
             outcomes["decoded"] += 1
     # The mutations reach both outcomes.
     assert outcomes["decoded"] > CASES // 10 and outcomes["refused"] > CASES // 4
+
+
+def _float_slots(value):
+    """Every (container, key) path of a float a record's decoder reads."""
+    derived = {
+        field.key for table in _TABLES.values() for field in table.fields
+        if field.derived
+    }
+    return [
+        (container, key) for container, key in _slots(value)
+        if container[key].__class__ is float and key not in derived
+    ]
+
+
+def test_every_float_field_refuses_non_numbers():
+    """Each float a valid seed carries, swapped for a boolean, a number
+    spelled as a string or a non-finite number, is refused."""
+    checked = 0
+    for decoder, valid in _valid_records():
+        for index in range(len(_float_slots(valid))):
+            for swap in NOT_FLOATS:
+                record = json.loads(json.dumps(valid))
+                container, key = _float_slots(record)[index]
+                container[key] = swap
+                with pytest.raises(WireError):
+                    decoder(record)
+                checked += 1
+    assert checked > 100
 
 
 def test_valid_seeds_decode_to_the_records_they_encode():

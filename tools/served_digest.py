@@ -4,8 +4,10 @@ Serves a fixed request corpus through :func:`repro.serving.build_server`
 on ``127.0.0.1:0`` and hashes what comes back, status line and body,
 category by category. It is the before/after check for a change that
 must not move a served bit: run it on both trees and compare the
-lines. Digests depend on the BLAS kernel numpy picks at run time, so
-compare runs on one host, and do not commit them as expected values.
+lines. Digests depend on the BLAS kernel numpy picks at run time,
+through the least-squares solves of cost-function fitting
+(``costfuncs/nnls.py``), so compare runs on one host, and do not commit
+them as expected values.
 
 Categories:
 

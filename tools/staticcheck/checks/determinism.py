@@ -28,6 +28,19 @@ Flagged:
 
 Use ``random.Random(seed)`` / ``np.random.default_rng(seed)`` /
 ``zlib.crc32`` instead.
+
+Over all of ``src/repro/``, the rule also keeps served numbers a
+function of the program rather than of the BLAS kernel numpy picks at
+run time (OpenBLAS chooses one per CPU, and each rounds differently):
+
+* BLAS and LAPACK entry points — the ``@`` operator, ``np.dot`` and
+  ``.dot``, ``np.matmul``, ``np.inner``, ``np.vdot``, ``np.tensordot``
+  and anything under ``np.linalg`` — appear only in
+  ``src/repro/costfuncs/nnls.py``, whose least-squares solves still
+  call LAPACK; elsewhere, sum elementwise products in a stated order
+  (``repro.core.variance.sum_in_order``);
+* no module imports scipy: the serving stack carries none (its one
+  former use, ``erfinv``, is ``repro.mathstats.normal.erfinv``).
 """
 
 from __future__ import annotations
@@ -43,7 +56,7 @@ from ..core import (
     resolve_dotted,
 )
 
-__all__ = ["DeterminismCheck", "rng_findings"]
+__all__ = ["DeterminismCheck", "numerics_findings", "rng_findings"]
 
 #: RNG constructors that are fine *when given an explicit seed*.
 SEEDED_RNG_CONSTRUCTORS = {
@@ -72,6 +85,19 @@ DETERMINISTIC_SUBSYSTEMS = (
     "core",
     "optimizer",
 )
+
+
+#: The one module allowed BLAS/LAPACK calls, as trailing path parts.
+BLAS_MODULE = ("repro", "costfuncs", "nnls.py")
+
+#: numpy functions that call BLAS (``numpy.linalg.*`` is matched apart).
+BLAS_FUNCTIONS = {
+    "numpy.dot",
+    "numpy.matmul",
+    "numpy.inner",
+    "numpy.vdot",
+    "numpy.tensordot",
+}
 
 
 def _noun(ctx: FileContext) -> str:
@@ -129,17 +155,70 @@ def rng_findings(ctx: FileContext) -> list[Finding]:
     return findings
 
 
+def numerics_findings(ctx: FileContext) -> list[Finding]:
+    """Flag BLAS/LAPACK calls outside NNLS, and any scipy import."""
+    aliases = import_aliases(ctx.tree)
+    blas_allowed = ctx.path.parts[-len(BLAS_MODULE):] == BLAS_MODULE
+    findings: list[Finding] = []
+
+    def blas(node: ast.AST, what: str) -> None:
+        findings.append(
+            ctx.finding(
+                node.lineno,
+                "determinism",
+                f"{what} calls BLAS/LAPACK, whose rounding depends on the "
+                "kernel picked at run time; outside costfuncs/nnls.py, sum "
+                "elementwise products in a stated order (sum_in_order)",
+            )
+        )
+
+    for node in ast.walk(ctx.tree):
+        modules: list[str] = []
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module or ""]
+        if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+            findings.append(
+                ctx.finding(
+                    node.lineno,
+                    "determinism",
+                    "src/repro imports no scipy: serving carries none "
+                    "(erfinv is repro.mathstats.normal.erfinv)",
+                )
+            )
+        if blas_allowed:
+            continue
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+            node.op, ast.MatMult
+        ):
+            blas(node, "the @ operator")
+        elif isinstance(node, ast.Call):
+            dotted = resolve_dotted(node.func, aliases)
+            if dotted in BLAS_FUNCTIONS or (
+                dotted is not None and dotted.startswith("numpy.linalg.")
+            ):
+                blas(node, f"{dotted}()")
+            elif isinstance(node.func, ast.Attribute) and node.func.attr == "dot":
+                blas(node, ".dot()")
+    return findings
+
+
 @register
 class DeterminismCheck(Check):
     name = "determinism"
 
     def applies(self, ctx: FileContext) -> bool:
         parts = ctx.path.parts
-        if "benchmarks" in parts:
-            return True
-        return "repro" in parts and any(
-            subsystem in parts for subsystem in DETERMINISTIC_SUBSYSTEMS
-        )
+        return "benchmarks" in parts or "repro" in parts
 
     def run(self, ctx: FileContext) -> list[Finding]:
-        return rng_findings(ctx)
+        parts = ctx.path.parts
+        findings = []
+        if "benchmarks" in parts or any(
+            subsystem in parts for subsystem in DETERMINISTIC_SUBSYSTEMS
+        ):
+            findings.extend(rng_findings(ctx))
+        if "repro" in parts and "benchmarks" not in parts:
+            findings.extend(numerics_findings(ctx))
+        return findings

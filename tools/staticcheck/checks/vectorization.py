@@ -10,18 +10,16 @@ kernel's loops:
 * ``float(...)`` — each call boxes one array element back into a
   python float, usually to feed scalar math that should have stayed an
   array expression (array-wide conversion via ``.tolist()`` at the
-  materialization boundary is the sanctioned pattern, and the one
-  scalar ``float(erfinv(...))`` the interval math needs is hoisted out
-  of any loop);
+  materialization boundary is the sanctioned pattern, and the scalar
+  ``erfinv`` coefficients the interval math needs are computed in a
+  comprehension outside the array pass);
 * scalar accumulation (``acc += ...`` / ``acc = acc + ...`` on a bare
   name) — a python-level reduction where the array op belongs.
 
 This check flags both patterns inside any ``for``/``while`` loop of the
 registered hot-array modules. Assignments to *subscripts*
-(``out[i] = mu @ row``) stay legal: the bitwise contract forces the
-per-plan ddot loop (BLAS ddot accumulates with FMA; no batched
-formulation reproduces its bits), and that loop writes array slots
-rather than accumulating into python scalars.
+(``out[i] = ...``) stay legal: a loop writing array slots does not
+accumulate into python scalars.
 """
 
 from __future__ import annotations
