@@ -1,85 +1,27 @@
 """Ablation: tightness of the covariance bounds B1 / B2 / B3.
 
-DESIGN.md calls out the bound hierarchy of Theorem 7 / Appendix A.8:
-B1 <= B2 and B1 <= B3. This bench measures the bounds on real nested
-operators from SELJOIN plans and reports how much tighter B1 is.
+The rows come from :func:`repro.experiments.artifacts.bounds`: the bound
+hierarchy of Theorem 7 / Appendix A.8 measured on real nested operators
+of SELJOIN plans. Floored on both tiers: the plans yield correlated
+pairs, B1 <= B2 holds for every pair (the restricted variance is a
+subset sum of the full one), and B1 <= B3 for more than half of them
+(an asymptotic statement that plug-in estimates can flip when sample
+joins are sparse).
 """
 
-import math
-
-import numpy as np
-
 from repro.benchreport import Metric, register
-from repro.core import PlanAncestry
-from repro.core.covariance import _shared_info, g_factor
-from repro.experiments.reporting import render_table
+from repro.experiments import artifacts
 
 
 @register("bounds", tags=("ablation", "theory"))
 def scenario(ctx):
     """Tightness of the covariance bounds B1/B2/B3 on SELJOIN plans."""
-    rows = _collect_bounds(ctx.small_lab)
-    b1 = np.array([r[0] for r in rows])
-    b2 = np.array([r[1] for r in rows])
-    b3 = np.array([r[2] for r in rows])
+    summary = artifacts.bounds(ctx).summary
     return [
-        Metric("pairs", float(len(rows))),
-        Metric("b1_mean", float(b1.mean())),
-        Metric("b2_mean", float(b2.mean())),
-        Metric("b3_mean", float(b3.mean())),
-        Metric("frac_b1_le_b2", float((b1 <= b2 + 1e-15).mean())),
-        Metric("frac_b1_le_b3", float((b1 <= b3 + 1e-15).mean())),
+        Metric("pairs", summary["pairs"], floor=1.0),
+        Metric("b1_mean", summary["b1_mean"]),
+        Metric("b2_mean", summary["b2_mean"]),
+        Metric("b3_mean", summary["b3_mean"]),
+        Metric("frac_b1_le_b2", summary["frac_b1_le_b2"], floor=1.0),
+        Metric("frac_b1_le_b3", summary["frac_b1_le_b3"], floor=0.5),
     ]
-
-
-def _collect_bounds(lab):
-    rows = []
-    executed = lab.executed_queries("uniform-small", "SELJOIN")
-    for index, query in enumerate(executed):
-        prepared = lab.prepared("uniform-small", "SELJOIN", index, 0.05)
-        estimate = prepared.estimate
-        ancestry = PlanAncestry.from_plan(query.planned.root)
-        nodes = [
-            s for s in estimate.per_node.values()
-            if s.source == "sample" and s.variance > 0
-        ]
-        for u in nodes:
-            for v in nodes:
-                if u.op_id >= v.op_id or not ancestry.related(u.op_id, v.op_id):
-                    continue
-                shared, m, n = _shared_info(u, v)
-                if m == 0:
-                    continue
-                b1 = math.sqrt(
-                    max(u.restricted_variance(shared), 0.0)
-                    * max(v.restricted_variance(shared), 0.0)
-                )
-                b2 = math.sqrt(u.variance * v.variance)
-                b3 = (1.0 - (1.0 - 1.0 / n) ** m) * g_factor(u.mean) * g_factor(v.mean)
-                rows.append((b1, b2, b3, min(b1, b2, b3)))
-    return rows
-
-
-def test_bound_tightness(small_lab, benchmark):
-    rows = benchmark.pedantic(_collect_bounds, args=(small_lab,), rounds=1, iterations=1)
-    assert rows, "no correlated operator pairs found"
-    b1 = np.array([r[0] for r in rows])
-    b2 = np.array([r[1] for r in rows])
-    b3 = np.array([r[2] for r in rows])
-    print("\n## Bound tightness over correlated operator pairs (SELJOIN, SR=0.05)")
-    table = [
-        ["pairs", len(rows), "", ""],
-        ["mean", b1.mean(), b2.mean(), b3.mean()],
-        ["median", np.median(b1), np.median(b2), np.median(b3)],
-        ["B1 tightest (%)", f"{(b1 <= b2 + 1e-18).mean():.0%}",
-         f"{(b1 <= b3 + 1e-18).mean():.0%}", ""],
-    ]
-    print(render_table(["stat", "B1", "B2", "B3"], table))
-    # Theorem 7: B1 <= B2 — holds exactly even with empirical components,
-    # because the restricted variance is a subset sum of the full one.
-    assert np.all(b1 <= b2 + 1e-15)
-    # Appendix A.8: B1 <= B3 is an asymptotic statement about the exact
-    # S^2_rho(m, n) and the true rho. With plug-in estimates it can flip
-    # when sample joins are sparse (rho_hat underestimates g(rho)); the
-    # relation must still hold for the clear majority of pairs.
-    assert (b1 <= b3 + 1e-15).mean() > 0.5

@@ -1,68 +1,22 @@
 """Extension: predictions under concurrency (Section 8 future work).
 
-Sweeps the multiprogramming level and checks the modeled behaviour:
-means and variances grow with load, I/O-bound queries degrade faster
-than CPU-bound ones.
+The rows come from :func:`repro.experiments.artifacts.concurrency`: a
+sweep of the multiprogramming level. Floored on both tiers: load never
+speeds a query up (monotone means) and interference adds uncertainty
+(std at MPL 8 at least the one at MPL 1), for every query.
 """
 
-import numpy as np
-
 from repro.benchreport import Metric, register
-from repro.core.concurrency import ConcurrentPredictor
-from repro.experiments.reporting import render_table
-
-LEVELS = (1, 2, 4, 8)
-
-
-def _sweep_raw(lab, num_queries=6):
-    """(query, mpl) -> (mean, std) over the SELJOIN workload."""
-    executed = lab.executed_queries("uniform-small", "SELJOIN")
-    samples = lab.sample_db("uniform-small", 0.05)
-    predictor = ConcurrentPredictor(lab.units("PC1"))
-    sweeps = []
-    for query in executed[:num_queries]:
-        sweep = predictor.sweep(query.planned, samples, LEVELS)
-        sweeps.append([(sweep[mpl].mean, sweep[mpl].std) for mpl in LEVELS])
-    return sweeps
+from repro.experiments import artifacts
 
 
 @register("concurrency", tags=("extension", "mpl"))
 def scenario(ctx):
     """Load monotonicity of the interference model across MPLs."""
-    sweeps = _sweep_raw(ctx.small_lab, num_queries=ctx.pick(quick=4, full=6))
-    means = np.array([[m for m, _ in row] for row in sweeps])
-    stds = np.array([[s for _, s in row] for row in sweeps])
-    monotone = float(np.mean([
-        all(np.diff(row) >= 0) for row in means
-    ]))
+    summary = artifacts.concurrency(ctx).summary
     return [
-        Metric("monotone_mean_frac", monotone),
-        Metric("mean_slowdown_mpl8", float((means[:, -1] / means[:, 0]).mean())),
-        Metric("std_growth_mpl8", float((stds[:, -1] / stds[:, 0]).mean())),
+        Metric("monotone_mean_frac", summary["monotone_mean_frac"], floor=1.0),
+        Metric("mean_slowdown_mpl8", summary["mean_slowdown_mpl8"]),
+        Metric("std_growth_mpl8", summary["std_growth_mpl8"]),
+        Metric("std_grows_frac", summary["std_grows_frac"], floor=1.0),
     ]
-
-
-def _sweep(lab):
-    executed = lab.executed_queries("uniform-small", "SELJOIN")
-    samples = lab.sample_db("uniform-small", 0.05)
-    predictor = ConcurrentPredictor(lab.units("PC1"))
-    rows = []
-    for index, query in enumerate(executed[:6]):
-        sweep = predictor.sweep(query.planned, samples, LEVELS)
-        rows.append(
-            [f"Q{index}"]
-            + [f"{sweep[mpl].mean:.3f} ± {sweep[mpl].std:.3f}" for mpl in LEVELS]
-        )
-    return rows
-
-
-def test_concurrency_sweep(small_lab, benchmark):
-    rows = benchmark.pedantic(_sweep, args=(small_lab,), rounds=1, iterations=1)
-    headers = ["query"] + [f"MPL={mpl}" for mpl in LEVELS]
-    print("\n## Predictions under concurrency (SELJOIN, uniform-small, PC1)")
-    print(render_table(headers, rows))
-    for row in rows:
-        means = [float(cell.split(" ± ")[0]) for cell in row[1:]]
-        stds = [float(cell.split(" ± ")[1]) for cell in row[1:]]
-        assert means == sorted(means)  # load never speeds a query up
-        assert stds[-1] >= stds[0]  # interference adds uncertainty

@@ -1,19 +1,15 @@
 """Engine micro-benchmarks: the substrate's hot kernels.
 
 Not a paper artifact, but keeps the substrate honest: join, aggregation
-and full-plan execution throughput on the small TPC-H database.
+and full-plan execution throughput on the small TPC-H database. Each
+timed call's result is checked too (hard-floored flags and counts): the
+orders-lineitem equijoin pairs every lineitem row, the COUNT(*) plan
+answers one row, and the five-table plan has at least 9 operators.
 """
-
-import pytest
 
 from repro.benchreport import Metric, register
 from repro.executor import Executor, equijoin_pairs
 from repro.optimizer import Optimizer
-
-
-@pytest.fixture(scope="module")
-def db(small_lab):
-    return small_lab.databases["uniform-small"]
 
 
 @register("engine_kernels", tags=("substrate", "latency"))
@@ -34,13 +30,15 @@ def scenario(ctx):
     )
     planned = optimizer.plan_sql(exec_sql)
     executor = Executor(database)
-    exec_seconds, _ = ctx.best_of(lambda: executor.execute(planned), repetitions)
+    exec_seconds, executed = ctx.best_of(
+        lambda: executor.execute(planned), repetitions
+    )
     plan_sql = (
         "SELECT COUNT(*) FROM customer, orders, lineitem, supplier, nation "
         "WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey "
         "AND l_suppkey = s_suppkey AND s_nationkey = n_nationkey"
     )
-    plan_seconds, _ = ctx.best_of(
+    plan_seconds, plan = ctx.best_of(
         lambda: optimizer.plan_sql(plan_sql), repetitions
     )
     return [
@@ -48,33 +46,17 @@ def scenario(ctx):
         Metric("execute_seconds", exec_seconds, kind="timing", unit="s"),
         Metric("plan_seconds", plan_seconds, kind="timing", unit="s"),
         Metric("join_pairs", float(len(left_idx))),
+        Metric(
+            "join_pairs_complete",
+            1.0 if len(left_idx) == database.table("lineitem").num_rows else 0.0,
+            kind="ratio",
+            floor=1.0,
+        ),
+        Metric(
+            "execute_one_row",
+            1.0 if executed.num_rows == 1 else 0.0,
+            kind="ratio",
+            floor=1.0,
+        ),
+        Metric("plan_operators", float(len(list(plan.root.walk()))), floor=9.0),
     ]
-
-
-def test_equijoin_kernel(db, benchmark):
-    orders = db.table("orders").column("o_orderkey")
-    lineitem = db.table("lineitem").column("l_orderkey")
-    li, ri = benchmark(lambda: equijoin_pairs([orders], [lineitem]))
-    assert len(li) == db.table("lineitem").num_rows
-
-
-def test_full_plan_execution(db, benchmark):
-    planned = Optimizer(db).plan_sql(
-        "SELECT COUNT(*) FROM customer, orders, lineitem "
-        "WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey "
-        "AND o_totalprice > 150000"
-    )
-    executor = Executor(db)
-    result = benchmark(lambda: executor.execute(planned))
-    assert result.num_rows == 1
-
-
-def test_optimizer_planning(db, benchmark):
-    optimizer = Optimizer(db)
-    sql = (
-        "SELECT COUNT(*) FROM customer, orders, lineitem, supplier, nation "
-        "WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey "
-        "AND l_suppkey = s_suppkey AND s_nationkey = n_nationkey"
-    )
-    planned = benchmark(lambda: optimizer.plan_sql(sql))
-    assert len(list(planned.root.walk())) >= 9

@@ -1,46 +1,23 @@
 """Figure 3: rs is robust to outliers, rp is not.
 
-The paper removes the right-most scatter point of a MICRO cell and
-shows rp jumps while rs barely moves. We regenerate that study on the
-cell with the largest predicted sigma.
+The rows come from :func:`repro.experiments.artifacts.fig3_outliers`:
+the paper removes the right-most scatter point of a MICRO cell and
+shows rp jumps while rs barely moves. rs must stay meaningful without
+the outlier (floored at 0.3 on both tiers).
 """
 
 from repro.benchreport import Metric, register
-from repro.experiments.reporting import render_table
+from repro.experiments import artifacts
 
 
 @register("fig3_outliers", tags=("figure", "robustness"))
 def scenario(ctx):
     """rs stays put when the max-sigma outlier is removed; rp moves."""
-    cell, trimmed = _outlier_study(ctx.small_lab)
+    summary = artifacts.fig3_outliers(ctx).summary
     return [
-        Metric("rs_full", float(cell.rs)),
-        Metric("rs_trimmed", float(trimmed.rs)),
-        Metric("rp_full", float(cell.rp)),
-        Metric("rp_trimmed", float(trimmed.rp)),
-        Metric("rs_delta", float(abs(cell.rs - trimmed.rs))),
+        Metric("rs_full", summary["rs_full"]),
+        Metric("rs_trimmed", summary["rs_trimmed"], floor=0.3),
+        Metric("rp_full", summary["rp_full"]),
+        Metric("rp_trimmed", summary["rp_trimmed"]),
+        Metric("rs_delta", summary["rs_delta"]),
     ]
-
-
-def _outlier_study(lab):
-    cell = lab.run_cell("uniform-small", "MICRO", "PC2", 0.01)
-    trimmed = cell.without_largest_sigma()
-    return cell, trimmed
-
-
-def test_fig3_outlier_robustness(small_lab, benchmark):
-    cell, trimmed = benchmark.pedantic(
-        _outlier_study, args=(small_lab,), rounds=1, iterations=1
-    )
-    rows = [
-        ["full population", cell.rs, cell.rp],
-        ["max-sigma query removed", trimmed.rs, trimmed.rp],
-        ["|delta|", abs(cell.rs - trimmed.rs), abs(cell.rp - trimmed.rp)],
-    ]
-    print("\n## Figure 3 — outlier robustness (MICRO uniform-small PC2 SR=0.01)")
-    print(render_table(["population", "rs", "rp"], rows))
-    print("\nScatter (sigma, |error|):")
-    scatter = [[f"{s:.4g}", f"{e:.4g}"] for s, e in zip(cell.sigmas, cell.errors)]
-    print(render_table(["sigma (s)", "error (s)"], scatter))
-    # rs must remain meaningful in both populations.
-    assert trimmed.rs > 0.3

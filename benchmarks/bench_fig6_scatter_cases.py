@@ -1,53 +1,22 @@
 """Figure 6: case-study scatter plots of sigma vs actual error.
 
+The rows come from :func:`repro.experiments.artifacts.fig6_scatter_cases`.
 Case (3): TPCH on the skewed large database, PC1, SR = 0.05 — both rs
-and rp good, near-linear scatter. Case (4): TPCH on the uniform small
-database, PC1, SR = 0.01 — both weaker.
+and rp good (rs floored at 0.6 on both tiers). Case (4): TPCH on the
+uniform small database, PC1, SR = 0.01 — both weaker.
 """
 
-import numpy as np
-
 from repro.benchreport import Metric, register
-from repro.experiments.plots import ascii_scatter
-from repro.experiments.reporting import render_table
+from repro.experiments import artifacts
 
 
 @register("fig6_scatter_cases", tags=("figure", "case-study"))
 def scenario(ctx):
     """The good (skewed-large) vs weak (uniform-small SR=0.01) cases."""
-    good, weak = _cases(ctx.lab)
+    summary = artifacts.fig6_scatter_cases(ctx).summary
     return [
-        Metric("rs_good", float(good.rs)),
-        Metric("rp_good", float(good.rp)),
-        Metric("rs_weak", float(weak.rs)),
-        Metric("rp_weak", float(weak.rp)),
+        Metric("rs_good", summary["rs_good"], floor=0.6),
+        Metric("rp_good", summary["rp_good"]),
+        Metric("rs_weak", summary["rs_weak"]),
+        Metric("rp_weak", summary["rp_weak"]),
     ]
-
-
-def _cases(lab):
-    good = lab.run_cell("skewed-large", "TPCH", "PC1", 0.05)
-    weak = lab.run_cell("uniform-small", "TPCH", "PC1", 0.01)
-    return good, weak
-
-
-def test_fig6_scatter_cases(lab, benchmark):
-    good, weak = benchmark.pedantic(_cases, args=(lab,), rounds=1, iterations=1)
-    print("\n## Figure 6 — case studies")
-    for label, cell in (("case (3): both good", good), ("case (4): weaker", weak)):
-        print(
-            f"\n### {label}: {cell.benchmark} {cell.database} {cell.machine} "
-            f"SR={cell.sampling_ratio} — rs={cell.rs:.4f}, rp={cell.rp:.4f}"
-        )
-        rows = [[f"{s:.4g}", f"{e:.4g}"] for s, e in zip(cell.sigmas, cell.errors)]
-        print(render_table(["sigma (s)", "error (s)"], rows))
-        # log-log scatter (the raw scale is dominated by deep-join queries)
-        print(
-            ascii_scatter(
-                np.log10(np.maximum(cell.sigmas, 1e-9)),
-                np.log10(np.maximum(cell.errors, 1e-9)),
-                x_label="log10 sigma",
-                y_label="log10 error",
-            )
-        )
-    # The paper's ordering: the skewed-large case correlates strongly.
-    assert good.rs > 0.6

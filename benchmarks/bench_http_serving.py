@@ -6,27 +6,28 @@ transport and (de)serialization, not prediction quality — responses are
 **bitwise identical** to the in-process :class:`repro.api.Session`, and
 a warm batch keeps a usable fraction of in-process throughput.
 
-Three measurements on one warmed session (so both paths replay cached
+Four measurements on one warmed session (so every path replays cached
 plans/prepares and the numbers isolate serving overhead):
 
 * in-process ``Session.predict_batch`` wall time;
 * the same batch as one ``POST /v1/predict-batch``;
+* the same queries as individual in-process ``Session.predict`` calls;
 * the same queries as individual ``POST /v1/predict`` requests — the
-  per-request overhead an online deployment sees (requests/sec is the
-  query count over ``http_request_seconds``).
+  per-request overhead an online deployment sees.
 
-The guarded ratios ``batch_efficiency`` / ``request_efficiency``
-(in-process seconds over HTTP seconds; dimensionless, so the guard can
-band them across machines) carry hard floors: if the front-end ever
-costs 50x the engine, the "cheap enough to serve online" pitch
-(Sec. 6.3.4) is broken. ``http_bitwise_agreement`` is a hard-floored
-flag: 1.0 only when **every** float of every response — mean, variance,
-std, interval bounds — is bitwise identical over HTTP.
+The guarded ratios ``batch_efficiency`` (in-process batch over HTTP
+batch) and ``request_efficiency`` (in-process singles over HTTP
+singles) time the same work on both sides; they are dimensionless, so
+the guard can band them across machines, and carry hard floors: if the
+front-end ever costs 50x the engine, the "cheap enough to serve online"
+pitch (Sec. 6.3.4) is broken. ``http_bitwise_agreement`` is a
+hard-floored flag: 1.0 only when no query failed over HTTP and
+**every** float of every response — mean, variance, std, interval
+bounds — is bitwise identical. ``warm_single_cached`` is hard-floored
+too: every warm single request over HTTP replays a cached prepare.
 """
 
 import threading
-
-import pytest
 
 from repro.api import HttpClient, Session, SessionConfig
 from repro.api.wire import BatchRequest
@@ -58,18 +59,6 @@ def _build_serving_setup(batch_size=BATCH_SIZE):
     return session, queries
 
 
-@pytest.fixture(scope="module")
-def serving_setup():
-    session, queries = _build_serving_setup()
-    server = build_server(session, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield session, queries, HttpClient(server.url)
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-
-
 @register("http_serving", tags=("service", "http", "throughput"))
 def scenario(ctx):
     """Threaded HTTP front-end vs in-process Session on a warm batch."""
@@ -82,6 +71,9 @@ def scenario(ctx):
     inproc_seconds, in_process = ctx.best_of(
         lambda: session.predict_batch(request), 3
     )
+    inproc_request_seconds, _ = ctx.best_of(
+        lambda: [session.predict(sql) for sql in queries], 2
+    )
 
     server = build_server(session, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -91,7 +83,7 @@ def scenario(ctx):
         http_seconds, over_http = ctx.best_of(
             lambda: client.predict_batch(request), 3
         )
-        request_seconds, _ = ctx.best_of(
+        request_seconds, singles = ctx.best_of(
             lambda: [client.predict(sql) for sql in queries], 2
         )
     finally:
@@ -114,6 +106,10 @@ def scenario(ctx):
         Metric("inprocess_batch_seconds", inproc_seconds, kind="timing", unit="s"),
         Metric("http_batch_seconds", http_seconds, kind="timing", unit="s"),
         Metric("http_request_seconds", request_seconds, kind="timing", unit="s"),
+        Metric(
+            "inprocess_request_seconds", inproc_request_seconds,
+            kind="timing", unit="s",
+        ),
         # Dimensionless ratios only: absolute requests/sec would be
         # banded across machines by the guard, which gates only timing
         # metrics on the environment fingerprint.
@@ -125,13 +121,19 @@ def scenario(ctx):
         ),
         Metric(
             "request_efficiency",
-            inproc_seconds / request_seconds,
+            inproc_request_seconds / request_seconds,
             kind="ratio",
             floor=0.005,
         ),
         Metric(
             "http_bitwise_agreement",
-            1.0 if max_diff == 0.0 else 0.0,
+            1.0 if max_diff == 0.0 and not over_http.failures else 0.0,
+            kind="ratio",
+            floor=1.0,
+        ),
+        Metric(
+            "warm_single_cached",
+            1.0 if all(single.prepare_was_cached for single in singles) else 0.0,
             kind="ratio",
             floor=1.0,
         ),
@@ -150,16 +152,3 @@ def _max_result_diff(got, expected) -> float:
         diffs.append(abs(got_iv.low - expected_iv.low))
         diffs.append(abs(got_iv.high - expected_iv.high))
     return max(diffs)
-
-
-def test_http_serving_bitwise_and_bounded_overhead(serving_setup):
-    session, queries, client = serving_setup
-    request = BatchRequest(queries=queries)
-    in_process = session.predict_batch(request)
-    over_http = client.predict_batch(request)
-    assert not over_http.failures
-    for remote, local in zip(over_http, in_process):
-        assert remote.results == local.results  # exact float equality
-    # Warm single-request serving must stay interactive on localhost.
-    single = client.predict(queries[0])
-    assert single.prepare_was_cached

@@ -1,69 +1,24 @@
 """Extension: least-expected-cost plan choice (Section 6.5.1).
 
-Compares the LEC plan ranking against the classic point-estimate
-ranking across SELJOIN queries: how often they agree, and the expected
-cost of each choice.
+The rows come from :func:`repro.experiments.artifacts.lec`: the LEC plan
+ranking against the classic point-estimate ranking across SELJOIN
+queries. LEC minimizes expected cost, so its choice never costs more in
+expectation than the point choice (share floored at 1.0 on both tiers).
 """
 
-
-import numpy as np
-
 from repro.benchreport import Metric, register
-from repro.core import LeastExpectedCostChooser
-from repro.experiments.reporting import render_table
-from repro.workloads import seljoin_workload
+from repro.experiments import artifacts
 
 
 @register("lec", tags=("extension", "planning"))
 def scenario(ctx):
     """LEC vs point-estimate plan choice on SELJOIN queries."""
-    rows = _lec_study(ctx.small_lab)
-    agree = [lec == point for _, lec, point, _, _ in rows]
-    lec_costs = np.array([row[3] for row in rows])
-    point_costs = np.array([row[4] for row in rows])
+    summary = artifacts.lec(ctx).summary
     return [
-        Metric("queries", float(len(rows))),
-        Metric("agree_frac", float(np.mean(agree))),
-        Metric("candidates_mean", float(np.mean([row[0] for row in rows]))),
-        Metric("lec_expected_cost_mean", float(lec_costs.mean())),
-        Metric("point_expected_cost_mean", float(point_costs.mean())),
+        Metric("queries", summary["queries"]),
+        Metric("agree_frac", summary["agree_frac"]),
+        Metric("candidates_mean", summary["candidates_mean"]),
+        Metric("lec_expected_cost_mean", summary["lec_expected_cost_mean"]),
+        Metric("point_expected_cost_mean", summary["point_expected_cost_mean"]),
+        Metric("lec_not_worse_frac", summary["lec_not_worse_frac"], floor=1.0),
     ]
-
-
-def _lec_study(lab):
-    db = lab.databases["uniform-small"]
-    chooser = LeastExpectedCostChooser(db, lab.units("PC1"))
-    samples = lab.sample_db("uniform-small", 0.05)
-    rows = []
-    for sql in seljoin_workload(num_queries=8, seed=5):
-        candidates = chooser.candidates(sql, samples)
-        lec_best = min(candidates, key=lambda c: c.expected_cost)
-        point_best = min(candidates, key=lambda c: c.point_cost)
-        rows.append(
-            (
-                len(candidates),
-                lec_best.label,
-                point_best.label,
-                lec_best.expected_cost,
-                point_best.expected_cost,
-            )
-        )
-    return rows
-
-
-def test_lec_plan_choice(small_lab, benchmark):
-    rows = benchmark.pedantic(_lec_study, args=(small_lab,), rounds=1, iterations=1)
-    print("\n## LEC vs point-estimate plan choice (SELJOIN, PC1, SR=0.05)")
-    table = [
-        [n, lec, point, f"{le:.4f}", f"{pe:.4f}"]
-        for n, lec, point, le, pe in rows
-    ]
-    print(render_table(
-        ["candidates", "LEC choice", "point choice",
-         "E[cost] of LEC", "E[cost] of point"],
-        table,
-    ))
-    # The LEC choice can never have higher expected cost than the
-    # point-estimate choice (it minimizes that objective).
-    for _, _, _, lec_cost, point_cost in rows:
-        assert lec_cost <= point_cost + 1e-12

@@ -20,8 +20,9 @@ measurements:
   guards the full wire path, and ``http_503_free`` pins that a client
   count below the admission cap never sees an over-capacity refusal;
 * determinism cross-checks, all hard-floored flags: rebuilt schedules
-  fingerprint-identical, two in-process replays bitwise identical,
-  HTTP responses bitwise identical to in-process ones.
+  fingerprint-identical, two in-process replays bitwise identical and
+  free of failed requests, HTTP responses bitwise identical to
+  in-process ones.
 
 ``calibration_coverage_load`` / ``calibration_coverage_idle`` are
 fidelity metrics: the fraction of simulated actual times covered by
@@ -30,8 +31,6 @@ deterministic given the seed, banded tightly by the guard.
 """
 
 import threading
-
-import pytest
 
 from repro.api import HttpClient, Session, SessionConfig
 from repro.benchreport import Metric, register
@@ -168,6 +167,12 @@ def scenario(ctx):
             floor=1.0,
         ),
         Metric(
+            "inproc_failure_free",
+            1.0 if not (warm.failed or open_run.failed) else 0.0,
+            kind="ratio",
+            floor=1.0,
+        ),
+        Metric(
             "http_bitwise_vs_inproc",
             1.0 if not http_run.failed and _http_matches(http_run, session) else 0.0,
             kind="ratio",
@@ -212,17 +217,3 @@ def _http_matches(http_run, session: Session) -> bool:
         if idle.results != observation.response.results:
             return False
     return True
-
-
-@pytest.fixture(scope="module")
-def replay_setup():
-    return _build_setup(rate=25.0, duration=1.0)
-
-
-def test_replay_open_loop_bitwise_and_complete(replay_setup):
-    session, schedule = replay_setup
-    runner = ReplayRunner(InProcessTarget(session), time_scale=0.05)
-    first = runner.run(schedule)
-    second = runner.run(schedule)
-    assert not first.failed and not second.failed
-    assert first.results_signature() == second.results_signature()

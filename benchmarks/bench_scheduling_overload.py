@@ -288,23 +288,3 @@ def scenario(ctx):
         ),
         Metric("edf_timeouts_total", float(edf_stats.timeouts_total)),
     ]
-
-
-def test_simulation_edf_beats_fifo_under_overload():
-    """Synthetic sanity: tight-budget cheap jobs jump a *queued* heavy job.
-
-    While one heavy job runs, another heavy job (loose budget) and two
-    cheap jobs (budgets that survive waiting behind each other but not
-    behind a heavy) queue up. FIFO runs the queued heavy first and
-    blows both cheap budgets; EDF reorders and misses nothing.
-    """
-    jobs = [
-        (0.00, 10.0, 1.0, 0.0),  # heavy, running until t=1.0
-        (0.01, 10.0, 1.0, 0.0),  # heavy, queued, loose budget
-        (0.02, 1.25, 0.05, 0.01),  # cheap, due t=1.27
-        (0.03, 1.25, 0.05, 0.01),  # cheap, due t=1.28
-        (0.04, 10.0, 1.0, 0.0),
-    ]
-    fifo = _simulate_misses(FifoPolicy(), jobs)
-    edf = _simulate_misses(EdfSlackPolicy(), jobs)
-    assert edf < fifo

@@ -30,12 +30,14 @@ Guarded metrics:
 * ``clean_drain`` — every worker of every pool exits 0 after SIGTERM;
 * ``http_503_retry_after_present`` — an over-capacity refusal carries
   the machine-readable ``Retry-After: 1`` hint all the way into
-  :class:`~repro.api.client.ApiError.retry_after`.
+  :class:`~repro.api.client.ApiError.retry_after`;
+* ``working_set_queries`` — the schedule's distinct queries, floored
+  above the prepared cache's 12 entries: the working set must overflow
+  one worker's cache (its 24-query bound is ``MixComponent.pool_size``,
+  ``tests/test_replay.py::test_pool_size_bounds_distinct_queries``).
 """
 
 import threading
-
-import pytest
 
 from repro.api import HttpClient, Session, SessionConfig
 from repro.api.client import ApiError
@@ -82,9 +84,9 @@ SCALE_MIX = WorkloadMix(
 )
 
 
-def _build_setup(requests_per_client: int, config: SessionConfig = SETUP_CONFIG):
+def _build_setup(requests_per_client: int):
     """(session, closed-loop schedule) shared by every pool size."""
-    session = Session(config)
+    session = Session(SETUP_CONFIG)
     schedule = build_schedule(
         SCALE_MIX,
         session.database,
@@ -199,33 +201,9 @@ def scenario(ctx):
             kind="ratio",
             floor=1.0,
         ),
+        Metric(
+            "working_set_queries",
+            float(len({request.sql for request in schedule.requests})),
+            floor=SETUP_CONFIG.prepared_cache_size + 1,
+        ),
     ]
-
-
-@pytest.fixture(scope="module")
-def scale_setup():
-    # The cheap variant of the scenario config: the mix/schedule
-    # properties under test do not depend on database scale.
-    config = SETUP_CONFIG.replace(scale_factor=0.01, sampling_ratio=0.05)
-    return _build_setup(requests_per_client=20, config=config)
-
-
-def test_scale_mix_working_set_is_bounded_and_deterministic(scale_setup):
-    session, schedule = scale_setup
-    rebuilt = build_schedule(
-        SCALE_MIX,
-        session.database,
-        ClosedLoop(clients=CLIENTS, requests_per_client=20),
-        seed=SCHEDULE_SEED,
-    )
-    assert schedule.fingerprint() == rebuilt.fingerprint()
-    distinct = {request.sql for request in schedule.requests}
-    # The scenario's premise: the working set overflows one worker's
-    # prepared cache but a quarter of it fits comfortably.
-    assert len(distinct) <= 24
-    assert len(distinct) > SETUP_CONFIG.prepared_cache_size
-
-
-def test_refused_request_carries_retry_after_hint(scale_setup):
-    session, _ = scale_setup
-    assert _retry_after_surfaces(session)

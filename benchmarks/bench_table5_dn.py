@@ -1,53 +1,23 @@
 """Table 5 / Figure 4: the distributional distance Dn over the grid.
 
-The paper reports Dn mostly below 0.3 (majority below 0.2): the
-predicted error likelihoods Pr(alpha) track the observed Prn(alpha).
+The rows come from :func:`repro.experiments.artifacts.table5_dn`. The
+paper reports Dn mostly below 0.3: the predicted error likelihoods
+Pr(alpha) track the observed Prn(alpha). Floored on both tiers: the
+median's complement (Dn median < 0.3) and the share below 0.4.
 """
 
-import numpy as np
-
 from repro.benchreport import Metric, register
-from repro.experiments.reporting import render_table
-from repro.experiments.settings import BENCHMARKS, MACHINES, SAMPLING_RATIOS
+from repro.experiments import artifacts
 
 
 @register("table5_dn", tags=("table", "fidelity"))
 def scenario(ctx):
     """Distributional distance Dn over the grid: median, spread."""
-    _, all_dn = _table5_rows(ctx.lab)
+    summary = artifacts.table5_dn(ctx).summary
     return [
-        Metric("dn_median", float(np.median(all_dn))),
-        Metric("dn_frac_lt_04", float((all_dn < 0.4).mean())),
-        Metric("dn_mean", float(all_dn.mean())),
+        Metric("dn_median", summary["dn_median"]),
+        Metric("dn_median_complement", summary["dn_median_complement"],
+               floor=0.7),
+        Metric("dn_frac_lt_04", summary["dn_frac_lt_04"], floor=0.75),
+        Metric("dn_mean", summary["dn_mean"]),
     ]
-
-
-def _table5_rows(lab):
-    sections = {}
-    all_dn = []
-    for db_label in lab.databases:
-        rows = []
-        for sr in SAMPLING_RATIOS:
-            row = [sr]
-            for benchmark in BENCHMARKS:
-                for machine in MACHINES:
-                    cell = lab.run_cell(db_label, benchmark, machine, sr)
-                    row.append(cell.dn)
-                    all_dn.append(cell.dn)
-            rows.append(row)
-        sections[db_label] = rows
-    return sections, np.asarray(all_dn)
-
-
-def test_table5_dn_grid(lab, benchmark):
-    sections, all_dn = benchmark.pedantic(
-        _table5_rows, args=(lab,), rounds=1, iterations=1
-    )
-    headers = ["SR"] + [f"{b} {m}" for b in BENCHMARKS for m in MACHINES]
-    print("\n## Table 5 / Figure 4 — Dn")
-    for db_label, rows in sections.items():
-        print(f"\n### {db_label}")
-        print(render_table(headers, rows))
-    # Paper shape: Dn mostly below 0.3.
-    assert np.median(all_dn) < 0.3
-    assert (all_dn < 0.4).mean() > 0.75

@@ -1,64 +1,21 @@
 """Table 6: correlation between estimated and actual selectivity errors.
 
-Per selective operator: the estimated standard deviation of the
-selectivity estimate vs the actual estimation error. The paper finds
-weaker correlations than Table 4 (errors are often tiny), which
-motivates Table 9's restriction to large-error operators.
+The rows come from :func:`repro.experiments.artifacts.table6_sel_error_corr`.
+The paper finds weaker correlations than Table 4 (errors are often
+tiny), which motivates Table 9's restriction to large-error operators;
+the floor only requires the grid to produce finite cells.
 """
 
-
-import numpy as np
-
 from repro.benchreport import Metric, register
-from repro.experiments.reporting import render_table
-from repro.experiments.settings import BENCHMARKS
-from repro.mathstats import pearson, spearman
-
-RATIOS = (0.01, 0.05, 0.1, 0.2)
+from repro.experiments import artifacts
 
 
 @register("table6_sel_error_corr", tags=("table", "selectivity"))
 def scenario(ctx):
     """Correlation of estimated vs actual selectivity errors."""
-    lab = ctx.small_lab
-    all_rs = []
-    for db_label in lab.databases:
-        for sr in RATIOS:
-            for benchmark_name in BENCHMARKS:
-                records = lab.selectivity_records(db_label, benchmark_name, sr)
-                stds = [r.estimated_std for r in records]
-                errs = [r.error for r in records]
-                value = spearman(stds, errs)
-                if np.isfinite(value):
-                    all_rs.append(value)
+    summary = artifacts.table6_sel_error_corr(ctx).summary
     return [
-        Metric("rs_mean", float(np.mean(all_rs))),
-        Metric("rs_median", float(np.median(all_rs))),
-        Metric("cells", float(len(all_rs))),
+        Metric("rs_mean", summary["rs_mean"]),
+        Metric("rs_median", summary["rs_median"]),
+        Metric("cells", summary["cells"], floor=1.0),
     ]
-
-
-def _table6(lab):
-    sections = {}
-    for db_label in lab.databases:
-        rows = []
-        for sr in RATIOS:
-            row = [sr]
-            for benchmark_name in BENCHMARKS:
-                records = lab.selectivity_records(db_label, benchmark_name, sr)
-                stds = [r.estimated_std for r in records]
-                errs = [r.error for r in records]
-                row.append(f"{spearman(stds, errs):.4f} ({pearson(stds, errs):.4f})")
-            rows.append(row)
-        sections[db_label] = rows
-    return sections
-
-
-def test_table6_selectivity_error_correlations(small_lab, benchmark):
-    sections = benchmark.pedantic(_table6, args=(small_lab,), rounds=1, iterations=1)
-    headers = ["SR"] + list(BENCHMARKS)
-    print("\n## Table 6 — rs (rp) of estimated vs actual selectivity errors")
-    for db_label, rows in sections.items():
-        print(f"\n### {db_label}")
-        print(render_table(headers, rows))
-    assert sections  # grid produced

@@ -1,88 +1,20 @@
 """Table 7 / Figure 12: estimated vs actual selectivities.
 
-The paper's Table 7 shows near-perfect correlation (rs and rp close to
-1): the sampling estimator nails the selectivities themselves. The
-bench regenerates the grid and the Figure 12 scatter data.
+The rows come from :func:`repro.experiments.artifacts.table7_sel_corr`.
+The paper's Table 7 shows near-perfect correlation: the sampling
+estimator nails the selectivities themselves. Floored on both tiers:
+MICRO's Pearson correlation at SR = 0.1 stays above 0.95.
 """
 
-import numpy as np
-
 from repro.benchreport import Metric, register
-from repro.experiments.reporting import render_table
-from repro.experiments.settings import BENCHMARKS
-from repro.mathstats import pearson, spearman
-
-RATIOS = (0.01, 0.05, 0.1, 0.2)
+from repro.experiments import artifacts
 
 
 @register("table7_sel_corr", tags=("table", "selectivity"))
 def scenario(ctx):
     """Estimated vs actual selectivities hug the diagonal."""
-    lab = ctx.small_lab
-    all_rs = []
-    for db_label in lab.databases:
-        for sr in RATIOS:
-            for benchmark_name in BENCHMARKS:
-                records = lab.selectivity_records(db_label, benchmark_name, sr)
-                value = spearman(
-                    [r.estimated for r in records], [r.actual for r in records]
-                )
-                if np.isfinite(value):
-                    all_rs.append(value)
-    records = lab.selectivity_records("uniform-small", "MICRO", 0.1)
-    micro_rp = pearson(
-        [r.estimated for r in records], [r.actual for r in records]
-    )
+    summary = artifacts.table7_sel_corr(ctx).summary
     return [
-        Metric("rs_mean", float(np.mean(all_rs))),
-        Metric("micro_pearson_sr01", float(micro_rp)),
+        Metric("rs_mean", summary["rs_mean"]),
+        Metric("micro_pearson_sr01", summary["micro_pearson_sr01"], floor=0.95),
     ]
-
-
-def _table7(lab):
-    sections = {}
-    scatter = None
-    for db_label in lab.databases:
-        rows = []
-        for sr in RATIOS:
-            row = [sr]
-            for benchmark_name in BENCHMARKS:
-                records = lab.selectivity_records(db_label, benchmark_name, sr)
-                est = [r.estimated for r in records]
-                act = [r.actual for r in records]
-                row.append(f"{spearman(est, act):.4f} ({pearson(est, act):.4f})")
-                if db_label == "skewed-small" and benchmark_name == "MICRO" and sr == 0.05:
-                    scatter = list(zip(est, act))
-            rows.append(row)
-        sections[db_label] = rows
-    return sections, scatter
-
-
-def test_table7_selectivity_correlations(small_lab, benchmark):
-    sections, scatter = benchmark.pedantic(
-        _table7, args=(small_lab,), rounds=1, iterations=1
-    )
-    headers = ["SR"] + list(BENCHMARKS)
-    print("\n## Table 7 / Figure 12 — rs (rp) of estimated vs actual selectivities")
-    for db_label, rows in sections.items():
-        print(f"\n### {db_label}")
-        print(render_table(headers, rows))
-    if scatter:
-        print("\n### Figure 12 scatter (MICRO, skewed-small, SR=0.05)")
-        print(render_table(
-            ["estimated", "actual"],
-            [[f"{e:.4g}", f"{a:.4g}"] for e, a in scatter],
-        ))
-        from repro.experiments.plots import ascii_scatter
-
-        print(ascii_scatter(
-            [e for e, _ in scatter],
-            [a for _, a in scatter],
-            x_label="estimated selectivity",
-            y_label="actual",
-        ))
-    # Paper shape: the MICRO estimates hug the diagonal.
-    records = small_lab.selectivity_records("uniform-small", "MICRO", 0.1)
-    est = np.array([r.estimated for r in records])
-    act = np.array([r.actual for r in records])
-    assert pearson(est, act) > 0.95

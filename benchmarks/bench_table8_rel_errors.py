@@ -1,62 +1,23 @@
 """Table 8: mean relative errors of the selectivity estimates.
 
-The paper reports relative errors usually below 20% at SR >= 0.05,
-shrinking as the sampling ratio grows (strong consistency).
+The rows come from :func:`repro.experiments.artifacts.table8_rel_errors`.
+The paper reports relative errors shrinking as the sampling ratio
+grows (strong consistency): ``micro_shrink_frac``, the share of
+databases whose MICRO error at the largest SR is below the one at the
+smallest, is floored at 1.0 on both tiers.
 """
 
-import numpy as np
-
 from repro.benchreport import Metric, register
-from repro.experiments.reporting import render_table
-from repro.experiments.settings import BENCHMARKS
-
-RATIOS = (0.01, 0.05, 0.1, 0.2)
+from repro.experiments import artifacts
 
 
 @register("table8_rel_errors", tags=("table", "selectivity"))
 def scenario(ctx):
     """Mean relative selectivity errors shrink as SR grows."""
-    sections = _table8(ctx.small_lab)
-    metrics = []
-    for db_label, rows in sections.items():
-        micro = [row[1] for row in rows]
-        slug = db_label.replace("-", "_")
-        metrics.append(Metric(f"micro_err_sr_min_{slug}", float(micro[0])))
-        metrics.append(Metric(f"micro_err_sr_max_{slug}", float(micro[-1])))
-        metrics.append(Metric(
-            f"micro_shrink_{slug}",
-            float(micro[-1] / micro[0]) if micro[0] else float("nan"),
-        ))
-    return metrics
-
-
-def _table8(lab):
-    sections = {}
-    for db_label in lab.databases:
-        rows = []
-        for sr in RATIOS:
-            row = [sr]
-            for benchmark_name in BENCHMARKS:
-                records = lab.selectivity_records(db_label, benchmark_name, sr)
-                rels = [
-                    r.relative_error
-                    for r in records
-                    if r.actual > 0 and not np.isnan(r.relative_error)
-                ]
-                row.append(float(np.mean(rels)) if rels else float("nan"))
-            rows.append(row)
-        sections[db_label] = rows
-    return sections
-
-
-def test_table8_relative_errors(small_lab, benchmark):
-    sections = benchmark.pedantic(_table8, args=(small_lab,), rounds=1, iterations=1)
-    headers = ["SR"] + list(BENCHMARKS)
-    print("\n## Table 8 — mean relative selectivity errors")
-    for db_label, rows in sections.items():
-        print(f"\n### {db_label}")
-        print(render_table(headers, rows))
-    # Strong consistency: MICRO errors shrink as SR grows.
-    for rows in sections.values():
-        micro = [row[1] for row in rows]
-        assert micro[-1] < micro[0]
+    summary = artifacts.table8_rel_errors(ctx).summary
+    # Per database: micro_err_sr_min_<db>, micro_err_sr_max_<db> and
+    # their ratio micro_shrink_<db>.
+    return [
+        Metric(name, value) for name, value in summary.items()
+        if name != "micro_shrink_frac"
+    ] + [Metric("micro_shrink_frac", summary["micro_shrink_frac"], floor=1.0)]

@@ -1,66 +1,23 @@
 """Table 9: error correlations restricted to relative errors > 0.2.
 
-The paper's explanation for Table 6's weak spots: when the estimation
-errors are actually large, the estimated standard deviations do track
-them. We regenerate the restricted-population correlations.
+The rows come from
+:func:`repro.experiments.artifacts.table9_large_error_corr`. The
+paper's explanation for Table 6's weak spots: where the estimation
+errors are large, the estimated standard deviations do track them, so
+the restricted correlations are mostly positive (median floored at 0
+on both tiers).
 """
 
-import numpy as np
-
 from repro.benchreport import Metric, register
-from repro.experiments.reporting import render_table
-from repro.experiments.settings import BENCHMARKS
-from repro.mathstats import pearson, spearman
-
-RATIOS = (0.01, 0.05, 0.1, 0.2)
+from repro.experiments import artifacts
 
 
 @register("table9_large_error_corr", tags=("table", "selectivity"))
 def scenario(ctx):
     """Correlations restricted to relative errors > 0.2."""
-    _, restricted_rs = _table9(ctx.small_lab)
-    finite = [value for value in restricted_rs if np.isfinite(value)]
+    summary = artifacts.table9_large_error_corr(ctx).summary
     return [
-        Metric("restricted_rs_median", float(np.median(finite))),
-        Metric("restricted_cells", float(len(finite))),
+        Metric("restricted_rs_median", summary["restricted_rs_median"],
+               floor=0.0),
+        Metric("restricted_cells", summary["restricted_cells"]),
     ]
-
-
-def _table9(lab):
-    sections = {}
-    restricted_rs = []
-    for db_label in lab.databases:
-        rows = []
-        for sr in RATIOS:
-            row = [sr]
-            for benchmark_name in BENCHMARKS:
-                records = [
-                    r
-                    for r in lab.selectivity_records(db_label, benchmark_name, sr)
-                    if r.actual > 0 and r.relative_error > 0.2
-                ]
-                if len(records) < 3:
-                    row.append("N/A")
-                    continue
-                stds = [r.estimated_std for r in records]
-                errs = [r.error for r in records]
-                rs = spearman(stds, errs)
-                row.append(f"{rs:.4f} ({pearson(stds, errs):.4f})")
-                restricted_rs.append(rs)
-            rows.append(row)
-        sections[db_label] = rows
-    return sections, restricted_rs
-
-
-def test_table9_large_error_correlations(small_lab, benchmark):
-    sections, restricted_rs = benchmark.pedantic(
-        _table9, args=(small_lab,), rounds=1, iterations=1
-    )
-    headers = ["SR"] + list(BENCHMARKS)
-    print("\n## Table 9 — rs (rp) restricted to relative errors > 0.2")
-    for db_label, rows in sections.items():
-        print(f"\n### {db_label}")
-        print(render_table(headers, rows))
-    if restricted_rs:
-        # Paper shape: restricted correlations are mostly positive.
-        assert np.median(restricted_rs) > 0.0

@@ -1,12 +1,13 @@
 """The shared execution context handed to every scenario.
 
-Mirrors what ``benchmarks/conftest.py`` gives the pytest entry points:
-one :class:`~repro.experiments.ExperimentLab` over the full database
+One :class:`~repro.experiments.ExperimentLab` over the full database
 grid and one over the small databases only, built lazily and shared by
-every scenario of a run. The tier scales the workload: ``full``
-reproduces the historical bench-suite numbers, ``quick`` shrinks the
-query counts and calibration repetitions so the whole quick tier fits
-in a CI smoke budget (a couple of minutes).
+every scenario of a run. ``repro report`` builds the same context, so
+the paper artifacts it renders come from the labs the scenarios read.
+The tier scales the workload: ``full`` is the lab shape the paper's
+claims are floored on, ``quick`` shrinks the query counts and
+calibration repetitions so the whole quick tier fits in a CI smoke
+budget (a couple of minutes).
 
 Scenarios pick tier-dependent parameters explicitly::
 
@@ -23,8 +24,7 @@ from ..experiments import DATABASE_CONFIGS, ExperimentLab
 
 __all__ = ["BenchContext", "TIER_QUERY_COUNTS"]
 
-#: Per-tier workload shape for the shared labs. The full tier matches
-#: the pytest bench suite (benchmarks/conftest.py); quick trades
+#: Per-tier workload shape for the shared labs; quick trades
 #: statistical tightness for wall-clock.
 TIER_QUERY_COUNTS = {
     "full": {"MICRO": 16, "SELJOIN": 10, "TPCH": 10},

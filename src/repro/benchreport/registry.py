@@ -7,19 +7,18 @@ scenarios with the module-level :data:`REGISTRY` at import time::
 
     @register("fig3_outliers", quick=True, tags=("figure", "fidelity"))
     def scenario(ctx):
-        cell, trimmed = _outlier_study(ctx.small_lab)
-        return [Metric("rs_full", cell.rs), Metric("rs_trimmed", trimmed.rs)]
+        summary = artifacts.fig3_outliers(ctx).summary
+        return [Metric("rs_trimmed", summary["rs_trimmed"], floor=0.3)]
 
 A scenario receives a :class:`~repro.benchreport.context.BenchContext`
 (tier, seed, shared lazily-built labs) and returns its metrics; the
 runner times the call, stamps the environment fingerprint, and emits
 the structured ``BenchResult``.
 
-Bench files are plain pytest files, not an importable package, so the
-registry discovers them by importing each ``bench_*.py`` from disk
-under a private module prefix. Registration is idempotent by name
-(re-importing a file replaces its scenarios) so pytest and the CLI can
-coexist in one process.
+Bench files are not an importable package, so the registry discovers
+them by importing each ``bench_*.py`` from disk under a private module
+prefix. Registration is idempotent by name (re-importing a file
+replaces its scenarios), so several loads can share one process.
 """
 
 from __future__ import annotations

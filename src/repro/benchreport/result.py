@@ -9,9 +9,13 @@ applying a per-kind tolerance policy:
 * ``fidelity`` — paper-shape numbers (correlations, errors, fractions).
   Deterministic given the seed; guarded with a tight two-sided band.
 * ``ratio`` — speedups and hit rates where higher is better; guarded
-  one-sided with a loose band (plus an optional hard ``floor``).
+  one-sided with a loose band.
 * ``timing`` — wall-clock seconds; guarded one-sided with the loosest
   band, and only against baselines from a comparable machine.
+
+A metric of any kind may also declare a hard ``floor``: the paper's
+claims are floors on fidelity metrics, the serving claims floors on
+ratios and flags.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ class Metric:
     value: float
     kind: str = "fidelity"
     unit: str = ""
-    #: Hard lower bound (ratio metrics): the guard fails when the fresh
-    #: value falls below it, independent of any baseline.
+    #: Hard lower bound, on any kind: the guard fails when the fresh
+    #: value falls below it (or is NaN), independent of any baseline.
     floor: float | None = None
 
     def __post_init__(self):

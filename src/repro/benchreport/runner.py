@@ -1,7 +1,7 @@
 """Run registered scenarios and emit the JSON artifacts.
 
 Serial runs share one :class:`BenchContext` (so the expensive labs are
-built once, like the pytest session fixtures used to). ``jobs > 1``
+built once). ``jobs > 1``
 fans scenarios out across worker processes; each worker builds its own
 context, which trades lab reuse for parallelism — worth it only when
 scenarios outnumber the shared-lab savings (many cores, few shared

@@ -20,8 +20,8 @@ in-process session or a live ``repro serve`` endpoint with them (see
 ``docs/replay.md``). ``bench`` runs the registered benchmark scenarios
 (see ``docs/benchmarks.md``) and writes ``BENCH_<scenario>.json``
 artifacts plus the ``BENCH_summary.json`` trajectory; ``report``
-regenerates the paper's tables and figures as one markdown report (the
-old ``bench`` behaviour). The CLI regenerates the database from its
+renders the paper artifacts those scenarios read, from the same tier's
+labs, as one markdown report. The CLI regenerates the database from its
 config on every invocation (generation is deterministic and fast at
 these scales), so it needs no on-disk state.
 """
@@ -899,16 +899,21 @@ def _cmd_bench(args, out) -> int:
 
 
 def _cmd_report(args, out) -> int:
-    """Regenerate the paper's tables and figures as one markdown report."""
-    from .experiments.run_all import build_lab, report_sections
+    """Regenerate the paper's tables and figures as one markdown report.
 
-    lab = build_lab(quick=args.quick, seed=args.seed)
+    The report reads the bench tier's labs (full, or quick with
+    ``--quick``), so its numbers are that tier's scenario metrics.
+    """
+    from .benchreport import BenchContext
+    from .experiments.run_all import write_report
+
+    ctx = BenchContext(tier="quick" if args.quick else "full", seed=args.seed)
     if args.output:
         with open(args.output, "w") as handle:
-            report_sections(lab, handle)
+            write_report(ctx, handle)
         print(f"report written to {args.output}", file=out)
     else:
-        report_sections(lab, out)
+        write_report(ctx, out)
     return 0
 
 

@@ -22,7 +22,6 @@ from .variance import (
     VarianceOptions,
     VectorizedAssembler,
     assemble_distribution_parameters,
-    assemble_distribution_parameters_reference,
 )
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "VarianceBreakdown",
     "VectorizedAssembler",
     "assemble_distribution_parameters",
-    "assemble_distribution_parameters_reference",
     "PlanAncestry",
     "bound_linear_linear",
     "bound_square_linear",

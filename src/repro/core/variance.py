@@ -16,18 +16,15 @@ exact normal-moment computation when the variables involved are
 independent or identical, covariance upper bounds (Section 5.3.2)
 when they belong to nested operators.
 
-Two implementations are provided:
-
-* :class:`VectorizedAssembler` — the production path. Terms are grouped
-  by (cost unit, monomial) into a dense coefficient matrix S once per
-  prepared query; per variant the distinct-monomial covariance kernel K
-  is evaluated only on pairs that can actually covary (a shared
-  positive-variance variable, or two positive-variance variables of
-  nested operators — every other pair is exactly zero for independent
-  normals) and the term-pair double sum collapses to S K S^T.
-* :func:`assemble_distribution_parameters_reference` — the original
-  pure-Python double loop over all term pairs, kept as the executable
-  specification; tests cross-check the two within float tolerance.
+:class:`VectorizedAssembler` groups terms by (cost unit, monomial)
+into a dense coefficient matrix S once per prepared query; per variant
+the distinct-monomial covariance kernel K is evaluated only on pairs
+that can actually covary (a shared positive-variance variable, or two
+positive-variance variables of nested operators — every other pair is
+exactly zero for independent normals) and the term-pair double sum
+collapses to S K S^T. The original pure-Python double loop over all
+term pairs is the executable specification in ``tests/test_service.py``,
+which cross-checks the two within float tolerance.
 
 Every sum of products in the production path is elementwise products
 added left to right (:func:`sum_in_order`), never a BLAS call, so a
@@ -56,7 +53,6 @@ __all__ = [
     "VarianceOptions",
     "VectorizedAssembler",
     "assemble_distribution_parameters",
-    "assemble_distribution_parameters_reference",
     "fold_unit_moments",
     "sum_in_order",
 ]
@@ -81,13 +77,6 @@ class VarianceBreakdown:
     bounded_covariance_term: float = 0.0
     cost_unit_term: float = 0.0
     per_unit_mean: dict[str, float] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class _Term:
-    unit: str
-    coefficient: float
-    monomial: tuple  # sorted tuple of (var_id, exponent)
 
 
 def _canonical(monomial: dict[int, int]) -> tuple:
@@ -351,108 +340,6 @@ def assemble_distribution_parameters(
 ) -> VarianceBreakdown:
     """Compute (E[t_q], Var[t_q]) per the scheme above (vectorized path)."""
     return VectorizedAssembler(planned, estimate, fitted).assemble(units, options)
-
-
-def assemble_distribution_parameters_reference(
-    planned,
-    estimate: SamplingEstimate,
-    fitted: dict,
-    units: CalibratedUnits,
-    options: VarianceOptions = VarianceOptions(),
-) -> VarianceBreakdown:
-    """The original scalar term-pair double loop (executable specification).
-
-    Kept verbatim as the reference implementation the vectorized path is
-    cross-checked against; O(T^2) in the number of polynomial terms.
-    """
-    ancestry = PlanAncestry.from_plan(planned.root)
-    distributions, selectivities = _selectivity_distributions(estimate, options)
-
-    terms: list[_Term] = []
-    for op_functions in fitted.values():
-        for unit, function in op_functions.functions.items():
-            for coefficient, monomial in function.monomials():
-                if coefficient == 0.0:
-                    continue
-                terms.append(_Term(unit, coefficient, _canonical(monomial)))
-
-    # E[g_c] per unit.
-    g_mean = {unit: 0.0 for unit in COST_UNIT_NAMES}
-    for term in terms:
-        g_mean[term.unit] += term.coefficient * monomial_mean(
-            dict(term.monomial), distributions
-        )
-
-    # Cov(g_c, g_c') over term pairs, split into exact and bounded parts.
-    exact_cov = {
-        (a, b): 0.0 for a in COST_UNIT_NAMES for b in COST_UNIT_NAMES
-    }
-    bound_cov = {
-        (a, b): 0.0 for a in COST_UNIT_NAMES for b in COST_UNIT_NAMES
-    }
-    cache: dict[tuple, tuple[float, float]] = {}
-    for i, t1 in enumerate(terms):
-        for t2 in terms[i:]:
-            key = (t1.monomial, t2.monomial) if t1.monomial <= t2.monomial else (
-                t2.monomial,
-                t1.monomial,
-            )
-            if key not in cache:
-                cache[key] = _term_covariance(
-                    dict(key[0]),
-                    dict(key[1]),
-                    distributions,
-                    selectivities,
-                    ancestry,
-                    options,
-                )
-            exact, bounded = cache[key]
-            weight = t1.coefficient * t2.coefficient
-            if t1 is not t2:
-                weight *= 2.0  # symmetric pair counted once
-            pair = (t1.unit, t2.unit)
-            exact_cov[pair] = exact_cov.get(pair, 0.0) + weight * exact
-            bound_cov[pair] = bound_cov.get(pair, 0.0) + weight * bounded
-
-    mu = {name: units.mean(name) for name in COST_UNIT_NAMES}
-    sigma2 = {
-        name: (units.variance(name) if options.include_cost_unit_variance else 0.0)
-        for name in COST_UNIT_NAMES
-    }
-
-    mean = sum(mu[c] * g_mean[c] for c in COST_UNIT_NAMES)
-
-    exact_part = 0.0
-    bounded_part = 0.0
-    unit_part = 0.0
-    for c in COST_UNIT_NAMES:
-        for c_prime in COST_UNIT_NAMES:
-            if c == c_prime:
-                exact_part += (mu[c] ** 2 + sigma2[c]) * exact_cov.get((c, c), 0.0)
-                bounded_part += (mu[c] ** 2 + sigma2[c]) * bound_cov.get((c, c), 0.0)
-                unit_part += sigma2[c] * g_mean[c] ** 2
-            else:
-                # The term-pair accumulation already stored the symmetric sum
-                # over both term orders; summing over both ordered unit pairs
-                # therefore needs a factor 1/2.
-                exact_g = exact_cov.get((c, c_prime), 0.0) + exact_cov.get(
-                    (c_prime, c), 0.0
-                )
-                bound_g = bound_cov.get((c, c_prime), 0.0) + bound_cov.get(
-                    (c_prime, c), 0.0
-                )
-                exact_part += mu[c] * mu[c_prime] * exact_g / 2.0
-                bounded_part += mu[c] * mu[c_prime] * bound_g / 2.0
-
-    variance = max(exact_part + bounded_part + unit_part, 0.0)
-    return VarianceBreakdown(
-        mean=mean,
-        variance=variance,
-        exact_selectivity_term=exact_part,
-        bounded_covariance_term=bounded_part,
-        cost_unit_term=unit_part,
-        per_unit_mean={c: mu[c] * g_mean[c] for c in COST_UNIT_NAMES},
-    )
 
 
 def _term_covariance(

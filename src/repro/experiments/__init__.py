@@ -1,4 +1,4 @@
-"""Evaluation harness: the grid, metrics, and per-artifact reporters."""
+"""Evaluation harness: the grid, metrics, and one function per paper artifact."""
 
 from .metrics import (
     PAPER_ALPHAS,
@@ -12,7 +12,6 @@ from .runner import CellResult, ExecutedQuery, ExperimentLab, SelectivityRecord
 from .settings import (
     BENCHMARKS,
     DATABASE_CONFIGS,
-    DEFAULT_QUERY_COUNTS,
     MACHINES,
     SAMPLING_RATIOS,
 )
@@ -32,5 +31,4 @@ __all__ = [
     "DATABASE_CONFIGS",
     "MACHINES",
     "SAMPLING_RATIOS",
-    "DEFAULT_QUERY_COUNTS",
 ]

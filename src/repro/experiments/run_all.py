@@ -1,267 +1,27 @@
-"""Full evaluation driver: regenerates every table and figure.
+"""The paper reproduction report: every artifact, on one tier's labs.
 
-Usage::
-
-    python -m repro.experiments.run_all [--quick] [--output FILE]
-
-Produces a markdown report with one section per paper artifact
-(Tables 4-9, Figures 2-6, 8-12). ``--quick`` shrinks query counts and
-the database grid for a fast sanity pass.
+``repro report [--quick] [--seed N] [--output FILE]`` builds the bench
+context of the tier (a :class:`repro.benchreport.BenchContext`: the
+full tier by default, the quick one with ``--quick``) and writes one
+markdown section per artifact of :mod:`repro.experiments.artifacts`.
+The bench scenarios read the same artifacts from the same labs, so each
+section's summary numbers are the scenario metrics of that tier and
+seed.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
-import time
+from .artifacts import ARTIFACTS
+from .reporting import render_artifact
 
-import numpy as np
-
-from ..core import Variant
-from ..datagen import generate_tpch
-from ..mathstats.correlation import pearson, spearman
-from . import metrics
-from .reporting import render_table
-from .runner import ExperimentLab
-from .settings import BENCHMARKS, DATABASE_CONFIGS, MACHINES, SAMPLING_RATIOS
-
-__all__ = ["build_lab", "main", "report_sections"]
-
-#: Sampling ratios for the Figure 8/10 ablation study. The paper sweeps
-#: SR = 1e-4..1e-2 on databases ~50x larger; matching the absolute sample
-#: sizes puts the interesting regime at 1e-2..2e-1 here.
-ABLATION_RATIOS = (0.01, 0.05, 0.2)
+__all__ = ["write_report"]
 
 
-def build_lab(quick: bool = False, seed: int = 0) -> ExperimentLab:
-    """Generate the database grid and wrap it in an ExperimentLab."""
-    labels = list(DATABASE_CONFIGS)
-    if quick:
-        labels = ["uniform-small", "skewed-small"]
-    databases = {
-        label: generate_tpch(DATABASE_CONFIGS[label]) for label in labels
-    }
-    counts = (
-        {"MICRO": 20, "SELJOIN": 14, "TPCH": 14}
-        if quick
-        else {"MICRO": 56, "SELJOIN": 28, "TPCH": 28}
+def write_report(ctx, out) -> None:
+    """Write every artifact of ``ctx``'s tier to ``out``, in paper order."""
+    print(
+        f"# Paper reproduction report (tier {ctx.tier}, seed {ctx.seed})\n",
+        file=out,
     )
-    return ExperimentLab(databases=databases, seed=seed, query_counts=counts)
-
-
-def section_table4(lab: ExperimentLab, out) -> None:
-    """Table 4 / Figure 2: rs (rp) over the whole grid."""
-    print("## Table 4 / Figure 2 — rs (rp) correlations", file=out)
-    for db_label in lab.databases:
-        rows = []
-        for sr in SAMPLING_RATIOS:
-            row = [sr]
-            for benchmark in BENCHMARKS:
-                for machine in MACHINES:
-                    cell = lab.run_cell(db_label, benchmark, machine, sr)
-                    row.append(f"{cell.rs:.4f} ({cell.rp:.4f})")
-            rows.append(row)
-        headers = ["SR"] + [
-            f"{b} {m}" for b in BENCHMARKS for m in MACHINES
-        ]
-        print(f"\n### {db_label}\n", file=out)
-        print(render_table(headers, rows), file=out)
-    print("", file=out)
-
-
-def section_figure3(lab: ExperimentLab, out) -> None:
-    """Figure 3: sensitivity of rp (vs rs) to outliers."""
-    print("## Figure 3 — robustness of rs vs rp to outliers", file=out)
-    db = next(iter(lab.databases))
-    cell = lab.run_cell(db, "MICRO", "PC2", 0.01)
-    trimmed = cell.without_largest_sigma()
-    rows = [
-        ["full population", cell.rs, cell.rp],
-        ["largest-sigma query removed", trimmed.rs, trimmed.rp],
-    ]
-    print(render_table(["population", "rs", "rp"], rows), file=out)
-    print("", file=out)
-
-
-def section_table5(lab: ExperimentLab, out) -> None:
-    """Table 5 / Figure 4: the distributional distance Dn."""
-    print("## Table 5 / Figure 4 — Dn distances", file=out)
-    for db_label in lab.databases:
-        rows = []
-        for sr in SAMPLING_RATIOS:
-            row = [sr]
-            for benchmark in BENCHMARKS:
-                for machine in MACHINES:
-                    cell = lab.run_cell(db_label, benchmark, machine, sr)
-                    row.append(cell.dn)
-            rows.append(row)
-        headers = ["SR"] + [f"{b} {m}" for b in BENCHMARKS for m in MACHINES]
-        print(f"\n### {db_label}\n", file=out)
-        print(render_table(headers, rows), file=out)
-    print("", file=out)
-
-
-def section_figure5(lab: ExperimentLab, out) -> None:
-    """Figure 5: Pr(alpha) vs Prn(alpha) curves."""
-    print("## Figure 5 — Pr(alpha) vs Prn(alpha) (PC2, SR = 0.05)", file=out)
-    db = "uniform-large" if "uniform-large" in lab.databases else next(iter(lab.databases))
-    for benchmark in BENCHMARKS:
-        cell = lab.run_cell(db, benchmark, "PC2", 0.05)
-        alphas, empirical, predicted = metrics.pr_curves(
-            cell.mus, cell.sigmas, cell.actuals
-        )
-        rows = [
-            [a, e, p] for a, e, p in zip(alphas, empirical, predicted)
-        ]
-        print(f"\n### {benchmark} on {db}, Dn = {cell.dn:.4f}\n", file=out)
-        print(render_table(["alpha", "Prn(alpha)", "Pr(alpha)"], rows), file=out)
-    print("", file=out)
-
-
-def section_figure6(lab: ExperimentLab, out) -> None:
-    """Figure 6: case-study scatter data (sigma_i vs e_i)."""
-    print("## Figure 6 — case studies (scatter data)", file=out)
-    cases = [
-        ("skewed-large", "TPCH", "PC1", 0.05, "case (3): both good"),
-        ("uniform-small", "TPCH", "PC1", 0.01, "case (4): both weaker"),
-    ]
-    for db, benchmark, machine, sr, label in cases:
-        if db not in lab.databases:
-            continue
-        cell = lab.run_cell(db, benchmark, machine, sr)
-        print(
-            f"\n### {label}: {benchmark} {db} {machine} SR={sr} — "
-            f"rs={cell.rs:.4f}, rp={cell.rp:.4f}\n",
-            file=out,
-        )
-        rows = [
-            [f"{s:.4g}", f"{e:.4g}"] for s, e in zip(cell.sigmas, cell.errors)
-        ]
-        print(render_table(["sigma (s)", "|error| (s)"], rows), file=out)
-    print("", file=out)
-
-
-def section_figure8(lab: ExperimentLab, out) -> None:
-    """Figures 8/10: the variant ablation at low sampling ratios."""
-    print("## Figures 8 / 10 — ablation (rs of All vs simplified variants)", file=out)
-    variants = [Variant.ALL, Variant.NO_VAR_C, Variant.NO_VAR_X, Variant.NO_COV]
-    for db_label in lab.databases:
-        rows = []
-        for sr in ABLATION_RATIOS:
-            row = [sr]
-            for variant in variants:
-                cell = lab.run_cell(db_label, "TPCH", "PC1", sr, variant=variant)
-                row.append(cell.rs)
-            rows.append(row)
-        headers = ["SR"] + [v.value for v in variants]
-        print(f"\n### {db_label}, TPCH, PC1\n", file=out)
-        print(render_table(headers, rows), file=out)
-    print("", file=out)
-
-
-def section_figure9(lab: ExperimentLab, out) -> None:
-    """Figures 9/11: relative overhead of sampling."""
-    print("## Figures 9 / 11 — relative sampling overhead", file=out)
-    for benchmark in BENCHMARKS:
-        rows = []
-        for sr in SAMPLING_RATIOS:
-            row = [sr]
-            for db_label in lab.databases:
-                row.append(lab.relative_overhead(db_label, benchmark, "PC1", sr))
-            rows.append(row)
-        headers = ["SR"] + list(lab.databases)
-        print(f"\n### {benchmark} (PC1)\n", file=out)
-        print(render_table(headers, rows), file=out)
-    print("", file=out)
-
-
-def _selectivity_stats(records):
-    est = np.array([r.estimated for r in records])
-    act = np.array([r.actual for r in records])
-    std = np.array([r.estimated_std for r in records])
-    err = np.abs(est - act)
-    rel = np.array([r.relative_error for r in records])
-    rel = rel[~np.isnan(rel)]
-    return est, act, std, err, rel
-
-
-def section_tables6to9(lab: ExperimentLab, out) -> None:
-    """Tables 6-9 + Figure 12: the selectivity-estimate study."""
-    print("## Tables 6-9 / Figure 12 — selectivity estimates", file=out)
-    ratios = (0.01, 0.05, 0.1, 0.2)
-    for db_label in lab.databases:
-        rows6, rows7, rows8, rows9 = [], [], [], []
-        for sr in ratios:
-            row6, row7, row8, row9 = [sr], [sr], [sr], [sr]
-            for benchmark in BENCHMARKS:
-                records = lab.selectivity_records(db_label, benchmark, sr)
-                if not records:
-                    for row in (row6, row7, row8, row9):
-                        row.append(float("nan"))
-                    continue
-                est, act, std, err, rel = _selectivity_stats(records)
-                row6.append(f"{spearman(std, err):.4f} ({pearson(std, err):.4f})")
-                row7.append(f"{spearman(est, act):.4f} ({pearson(est, act):.4f})")
-                row8.append(float(np.mean(rel)) if len(rel) else float("nan"))
-                large = [
-                    r for r in records
-                    if r.actual > 0 and r.relative_error > 0.2
-                ]
-                if len(large) >= 3:
-                    lstd = np.array([r.estimated_std for r in large])
-                    lerr = np.array([r.error for r in large])
-                    row9.append(
-                        f"{spearman(lstd, lerr):.4f} ({pearson(lstd, lerr):.4f})"
-                    )
-                else:
-                    row9.append("N/A")
-            rows6.append(row6)
-            rows7.append(row7)
-            rows8.append(row8)
-            rows9.append(row9)
-        headers = ["SR"] + list(BENCHMARKS)
-        print(f"\n### {db_label}\n", file=out)
-        print("Table 6 — rs (rp), estimated vs actual selectivity errors\n", file=out)
-        print(render_table(headers, rows6), file=out)
-        print("\nTable 7 / Figure 12 — rs (rp), estimated vs actual selectivities\n", file=out)
-        print(render_table(headers, rows7), file=out)
-        print("\nTable 8 — mean relative selectivity errors\n", file=out)
-        print(render_table(headers, rows8), file=out)
-        print("\nTable 9 — rs (rp) restricted to relative errors > 0.2\n", file=out)
-        print(render_table(headers, rows9), file=out)
-    print("", file=out)
-
-
-def report_sections(lab: ExperimentLab, out) -> None:
-    """Write every per-artifact section of the report to ``out``."""
-    start = time.time()
-    section_table4(lab, out)
-    section_figure3(lab, out)
-    section_table5(lab, out)
-    section_figure5(lab, out)
-    section_figure6(lab, out)
-    section_figure8(lab, out)
-    section_figure9(lab, out)
-    section_tables6to9(lab, out)
-    print(f"_Report generated in {time.time() - start:.1f}s._", file=out)
-
-
-def main(argv=None) -> int:
-    """CLI entry point: build the lab and emit the report."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true", help="reduced grid")
-    parser.add_argument("--output", default=None, help="write report to file")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-
-    lab = build_lab(quick=args.quick, seed=args.seed)
-    if args.output:
-        with open(args.output, "w") as handle:
-            report_sections(lab, handle)
-    else:
-        report_sections(lab, sys.stdout)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    for artifact in ARTIFACTS:
+        print(render_artifact(artifact(ctx)), file=out)

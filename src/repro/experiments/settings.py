@@ -17,7 +17,6 @@ __all__ = [
     "DATABASE_CONFIGS",
     "SAMPLING_RATIOS",
     "MACHINES",
-    "DEFAULT_QUERY_COUNTS",
 ]
 
 BENCHMARKS = ("MICRO", "SELJOIN", "TPCH")
@@ -33,6 +32,3 @@ DATABASE_CONFIGS: dict[str, TpchConfig] = {
 SAMPLING_RATIOS = (0.01, 0.05, 0.1)
 
 MACHINES = ("PC1", "PC2")
-
-#: Full-run query counts per benchmark (benches use fewer).
-DEFAULT_QUERY_COUNTS = {"MICRO": 56, "SELJOIN": 28, "TPCH": 28}

@@ -1,10 +1,12 @@
 """The benchmark registry, runner, artifacts, and CLI wiring.
 
-Fast tests only: scenarios here are synthetic (no labs). The real
-scenarios in ``benchmarks/bench_*.py`` are exercised by ``repro bench``
-itself (Makefile `bench-quick`, CI) — these tests pin the subsystem's
+Fast tests only: scenarios here are synthetic (no labs), and the real
+paper scenarios run only against stubbed artifacts. The real scenarios
+in ``benchmarks/bench_*.py`` are exercised by ``repro bench`` itself
+(Makefile `bench-quick`, CI) — these tests pin the subsystem's
 contracts: registration, tier selection, deterministic structured
-results, artifact emission, trajectory append, and failure capture.
+results, artifact emission, trajectory append, failure capture, and
+one paper artifact feeding both its scenario and the report.
 """
 
 import io
@@ -26,6 +28,7 @@ from repro.benchreport import (
 )
 from repro.benchreport.runner import SUMMARY_FILENAME
 from repro.cli import main as cli_main
+from repro.experiments import artifacts, run_all
 
 
 def make_registry():
@@ -97,6 +100,58 @@ class TestRegistry:
         # and the module-level registry was not polluted by the
         # injected-registry load
         assert "alpha" not in REGISTRY
+
+
+class _AnySummary(dict):
+    """Every summary name reads 1.0, so a scenario runs without a lab."""
+
+    def __missing__(self, name):
+        return 1.0
+
+
+class TestPaperArtifacts:
+    """One function per paper artifact feeds its scenario and the report.
+
+    Cheap: every artifact function is replaced by a stub that records
+    who read it, so no lab is built.
+    """
+
+    def test_report_renders_what_scenarios_read(self, monkeypatch):
+        reads = []
+
+        def stub(function):
+            def read(ctx, *args):
+                reads.append(function.__name__)
+                return artifacts.Artifact(function.__name__, (), _AnySummary())
+            return read
+
+        stubs = tuple(stub(function) for function in artifacts.ARTIFACTS)
+        for function, replacement in zip(artifacts.ARTIFACTS, stubs):
+            monkeypatch.setattr(artifacts, function.__name__, replacement)
+        monkeypatch.setattr(artifacts, "ARTIFACTS", stubs)
+        monkeypatch.setattr(run_all, "ARTIFACTS", stubs)
+        ctx = BenchContext(tier="full")
+
+        run_all.write_report(ctx, io.StringIO())
+        rendered = set(reads)
+        assert len(rendered) == len(stubs) == 17
+
+        registry = load_scenarios(registry=BenchRegistry())
+        read_by_scenarios = set()
+        for scenario in registry.scenarios():
+            if scenario.func.__globals__.get("artifacts") is not artifacts:
+                continue
+            reads.clear()
+            metrics = scenario.func(ctx)
+            # Each paper scenario reads its own artifact, and only it ...
+            assert set(reads) == {scenario.name}
+            read_by_scenarios |= set(reads)
+            # ... and floors at least one of the paper's claims on it.
+            assert any(metric.floor is not None for metric in metrics), (
+                scenario.name
+            )
+        assert read_by_scenarios == rendered
+        assert not ctx._labs  # no lab was built
 
 
 class TestContext:

@@ -6,9 +6,12 @@ the contract: staticcheck, tier-1 tests, the end-to-end
 benchmark's self-test, the HTTP serving smoke, the quick bench smoke,
 the regression guard, and the artifact uploads, on both push and
 pull_request. The Makefile's `ci` target must mirror the same
-e2ebench, HTTP smoke and staticcheck stages.
+e2ebench, HTTP smoke and staticcheck stages. The install step must
+install every third-party module the tests import.
 """
 
+import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -158,3 +161,61 @@ def test_guard_runs_quick_tier_against_committed_baselines(workflow):
     (guard,) = [cmd for cmd in run_commands(workflow) if "benchguard" in cmd]
     assert "--tier quick" in guard
     assert (REPO_ROOT / "benchmarks" / "baselines" / "quick").is_dir()
+
+
+#: Import names whose pip distribution is named differently.
+DISTRIBUTIONS = {"yaml": "pyyaml"}
+
+
+def _imported_by_tests() -> set[str]:
+    """Top-level module names tests/ imports, ``importorskip`` included."""
+    names = set()
+    for path in (REPO_ROOT / "tests").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "importorskip"
+                and isinstance(node.args[0], ast.Constant)
+            ):
+                names.add(node.args[0].value.split(".")[0])
+    return names
+
+
+def _first_party(name: str) -> bool:
+    return (
+        (REPO_ROOT / "src" / name).is_dir()
+        or (REPO_ROOT / "tools" / name).exists()
+        or (REPO_ROOT / "tests" / f"{name}.py").exists()
+    )
+
+
+def test_install_step_covers_test_imports(workflow):
+    """A fresh runner can collect tier-1: nothing it imports is missing."""
+    installed = set()
+    for command in run_commands(workflow):
+        for line in command.splitlines():
+            words = line.split()
+            if words[:2] == ["pip", "install"]:
+                installed.update(words[2:])
+    third_party = {
+        name for name in _imported_by_tests()
+        if name not in sys.stdlib_module_names and not _first_party(name)
+    }
+    assert {"hypothesis", "numpy", "pytest", "scipy", "yaml"} <= third_party
+    missing = {
+        DISTRIBUTIONS.get(name, name) for name in third_party
+    } - installed
+    assert not missing, f"CI installs none of {sorted(missing)}"
+
+
+def test_no_pytest_benchmark(workflow):
+    """Benchmarks run through `repro bench` only; nothing installs or
+    runs pytest-benchmark."""
+    makefile = (REPO_ROOT / "Makefile").read_text()
+    for text in run_commands(workflow) + [makefile]:
+        assert "pytest-benchmark" not in text
+        assert "benchmark-disable" not in text

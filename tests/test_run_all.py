@@ -1,52 +1,69 @@
-"""Smoke tests for the run_all report driver and the CLI bench path."""
+"""The paper report and the bench scenarios print the same numbers.
+
+Every artifact of :mod:`repro.experiments.artifacts` runs on a mini lab
+whose four database labels share one tiny database. Its scenario's
+metrics must be exactly the artifact's summary, and the report section
+must print each of them at full precision.
+"""
 
 import io
+from types import SimpleNamespace
 
 import pytest
 
+from repro.benchreport import BenchRegistry, load_scenarios
 from repro.datagen import TpchConfig, generate_tpch
-from repro.experiments import ExperimentLab
-from repro.experiments.run_all import (
-    section_figure3,
-    section_figure9,
-    section_table4,
-)
+from repro.experiments import DATABASE_CONFIGS, ExperimentLab, artifacts
+from repro.experiments.reporting import render_artifact
+from repro.experiments.run_all import write_report
 
-# Full-experiment report sections are the slow tier: deselected from
+# Every artifact on a lab of its own is the slow tier: deselected from
 # tier-1 runs by pytest.ini (run explicitly with `pytest -m slow`).
 pytestmark = pytest.mark.slow
 
 
 @pytest.fixture(scope="module")
-def mini_lab():
+def mini_ctx():
     database = generate_tpch(TpchConfig(scale_factor=0.005, seed=31))
-    return ExperimentLab(
-        databases={"uniform-small": database},
+    lab = ExperimentLab(
+        databases={label: database for label in DATABASE_CONFIGS},
         seed=0,
         query_counts={"MICRO": 6, "SELJOIN": 4, "TPCH": 4},
         calibration_repetitions=3,
     )
+    return SimpleNamespace(
+        tier="quick", seed=0, lab=lab, small_lab=lab,
+        pick=lambda *, quick, full: quick,
+    )
 
 
-class TestReportSections:
-    def test_table4_section(self, mini_lab):
-        out = io.StringIO()
-        section_table4(mini_lab, out)
-        text = out.getvalue()
-        assert "Table 4" in text
-        assert "uniform-small" in text
-        assert text.count("|") > 20  # a rendered grid
+@pytest.fixture(scope="module")
+def scenarios():
+    return load_scenarios(registry=BenchRegistry())
 
-    def test_figure3_section(self, mini_lab):
-        out = io.StringIO()
-        section_figure3(mini_lab, out)
-        text = out.getvalue()
-        assert "full population" in text
-        assert "largest-sigma query removed" in text
 
-    def test_figure9_section(self, mini_lab):
-        out = io.StringIO()
-        section_figure9(mini_lab, out)
-        text = out.getvalue()
-        assert "overhead" in text
-        assert "MICRO" in text and "TPCH" in text
+@pytest.mark.parametrize(
+    "function", artifacts.ARTIFACTS, ids=lambda function: function.__name__
+)
+def test_report_prints_the_scenario_metrics(function, mini_ctx, scenarios):
+    artifact = function(mini_ctx)
+    metrics = {
+        metric.name: metric
+        for metric in scenarios.get(function.__name__).func(mini_ctx)
+        if metric.kind != "timing"
+    }
+    assert set(metrics) == set(artifact.summary)
+    section = render_artifact(artifact)
+    assert section.startswith(f"## {artifact.title}")
+    for name, metric in metrics.items():
+        assert repr(metric.value) == repr(artifact.summary[name])
+        assert f"| {name} " in section
+        assert f" {metric.value!r} " in section
+
+
+def test_report_has_one_section_per_artifact(mini_ctx):
+    out = io.StringIO()
+    write_report(mini_ctx, out)
+    text = out.getvalue()
+    assert text.startswith("# Paper reproduction report (tier quick, seed 0)")
+    assert text.count("\n## ") == len(artifacts.ARTIFACTS) == 17

@@ -7,25 +7,147 @@ across all four predictor variants; the service must plan/prepare each
 distinct query once and serve repeats from cache.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from repro.benchreport import BenchContext
 from repro.calibration.calibrator import CalibratedUnits
 from repro.core import UncertaintyPredictor, Variant
 from repro.core.predictor import VARIANT_OPTIONS
+from repro.core.covariance import PlanAncestry
 from repro.core.variance import (
+    VarianceBreakdown,
+    VarianceOptions,
     VectorizedAssembler,
+    _canonical,
+    _selectivity_distributions,
+    _term_covariance,
     assemble_distribution_parameters,
-    assemble_distribution_parameters_reference,
 )
 from repro.costfuncs.families import C1, C2, C3, C4, C5, C6
 from repro.costfuncs.fitting import FittedCostFunction, OperatorCostFunctions
 from repro.errors import PredictionError
 from repro.mathstats import NormalDistribution
+from repro.mathstats.moments import monomial_mean
+from repro.optimizer import Optimizer
+from repro.optimizer.cost_model import COST_UNIT_NAMES
 from repro.plan import HashJoinNode, SeqScanNode, SortNode, assign_op_ids
 from repro.sampling.estimator import NodeSelectivity, SamplingEstimate
 from repro.service import PredictionService, PreparedCache, plan_signature
+from repro.workloads import workload_by_name
 from repro.workloads.tpch_templates import TPCH_TEMPLATES
+
+
+# ---------------------------------------------------------------------------
+# The scalar reference assembly (Algorithm 3 term pair by term pair).
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Term:
+    unit: str
+    coefficient: float
+    monomial: tuple  # sorted tuple of (var_id, exponent)
+
+
+def assemble_distribution_parameters_reference(
+    planned, estimate, fitted, units, options=VarianceOptions()
+) -> VarianceBreakdown:
+    """The original scalar term-pair double loop (executable specification).
+
+    The vectorized path is cross-checked against it; O(T^2) in the
+    number of polynomial terms.
+    """
+    ancestry = PlanAncestry.from_plan(planned.root)
+    distributions, selectivities = _selectivity_distributions(estimate, options)
+
+    terms: list[_Term] = []
+    for op_functions in fitted.values():
+        for unit, function in op_functions.functions.items():
+            for coefficient, monomial in function.monomials():
+                if coefficient == 0.0:
+                    continue
+                terms.append(_Term(unit, coefficient, _canonical(monomial)))
+
+    # E[g_c] per unit.
+    g_mean = {unit: 0.0 for unit in COST_UNIT_NAMES}
+    for term in terms:
+        g_mean[term.unit] += term.coefficient * monomial_mean(
+            dict(term.monomial), distributions
+        )
+
+    # Cov(g_c, g_c') over term pairs, split into exact and bounded parts.
+    exact_cov = {
+        (a, b): 0.0 for a in COST_UNIT_NAMES for b in COST_UNIT_NAMES
+    }
+    bound_cov = {
+        (a, b): 0.0 for a in COST_UNIT_NAMES for b in COST_UNIT_NAMES
+    }
+    cache: dict[tuple, tuple[float, float]] = {}
+    for i, t1 in enumerate(terms):
+        for t2 in terms[i:]:
+            key = (t1.monomial, t2.monomial) if t1.monomial <= t2.monomial else (
+                t2.monomial,
+                t1.monomial,
+            )
+            if key not in cache:
+                cache[key] = _term_covariance(
+                    dict(key[0]),
+                    dict(key[1]),
+                    distributions,
+                    selectivities,
+                    ancestry,
+                    options,
+                )
+            exact, bounded = cache[key]
+            weight = t1.coefficient * t2.coefficient
+            if t1 is not t2:
+                weight *= 2.0  # symmetric pair counted once
+            pair = (t1.unit, t2.unit)
+            exact_cov[pair] = exact_cov.get(pair, 0.0) + weight * exact
+            bound_cov[pair] = bound_cov.get(pair, 0.0) + weight * bounded
+
+    mu = {name: units.mean(name) for name in COST_UNIT_NAMES}
+    sigma2 = {
+        name: (units.variance(name) if options.include_cost_unit_variance else 0.0)
+        for name in COST_UNIT_NAMES
+    }
+
+    mean = sum(mu[c] * g_mean[c] for c in COST_UNIT_NAMES)
+
+    exact_part = 0.0
+    bounded_part = 0.0
+    unit_part = 0.0
+    for c in COST_UNIT_NAMES:
+        for c_prime in COST_UNIT_NAMES:
+            if c == c_prime:
+                exact_part += (mu[c] ** 2 + sigma2[c]) * exact_cov.get((c, c), 0.0)
+                bounded_part += (mu[c] ** 2 + sigma2[c]) * bound_cov.get((c, c), 0.0)
+                unit_part += sigma2[c] * g_mean[c] ** 2
+            else:
+                # The term-pair accumulation already stored the symmetric sum
+                # over both term orders; summing over both ordered unit pairs
+                # therefore needs a factor 1/2.
+                exact_g = exact_cov.get((c, c_prime), 0.0) + exact_cov.get(
+                    (c_prime, c), 0.0
+                )
+                bound_g = bound_cov.get((c, c_prime), 0.0) + bound_cov.get(
+                    (c_prime, c), 0.0
+                )
+                exact_part += mu[c] * mu[c_prime] * exact_g / 2.0
+                bounded_part += mu[c] * mu[c_prime] * bound_g / 2.0
+
+    variance = max(exact_part + bounded_part + unit_part, 0.0)
+    return VarianceBreakdown(
+        mean=mean,
+        variance=variance,
+        exact_selectivity_term=exact_part,
+        bounded_covariance_term=bounded_part,
+        cost_unit_term=unit_part,
+        per_unit_mean={c: mu[c] * g_mean[c] for c in COST_UNIT_NAMES},
+    )
 
 
 class _PlanStub:
@@ -183,23 +305,44 @@ def test_vectorized_matches_reference_on_random_plans(seed):
             )
 
 
+def _lab_plans():
+    """(planned, prepared, units) for every MICRO, SELJOIN and TPCH plan
+    of the full bench tier's small lab: its databases, query counts,
+    SR = 0.05 samples and PC1 units (planned, not executed)."""
+    ctx = BenchContext(tier="full")
+    lab = ctx.small_lab
+    units = lab.units("PC1")
+    predictor = UncertaintyPredictor(units)
+    for label, database in lab.databases.items():
+        optimizer = Optimizer(database)
+        samples = lab.sample_db(label, 0.05)
+        for benchmark, count in ctx.query_counts.items():
+            for sql in workload_by_name(benchmark, database, count, seed=lab.seed):
+                planned = optimizer.plan_sql(sql)
+                yield planned, predictor.prepare(planned, samples), units
+
+
 def test_vectorized_matches_reference_on_real_plans(
     optimizer, sample_db, calibrated_units
 ):
     predictor = UncertaintyPredictor(calibrated_units)
     rng = np.random.default_rng(4)
+    cases = []
     for template in TPCH_TEMPLATES[:6]:
         planned = optimizer.plan_sql(template.instantiate(rng))
-        prepared = predictor.prepare(planned, sample_db)
+        cases.append(
+            (planned, predictor.prepare(planned, sample_db), calibrated_units)
+        )
+    cases += _lab_plans()
+    assert len(cases) == 6 + 2 * (16 + 10 + 10)
+    for planned, prepared, units in cases:
         for variant in Variant:
             options = VARIANT_OPTIONS[variant]
             reference = assemble_distribution_parameters_reference(
-                planned, prepared.estimate, prepared.fitted,
-                calibrated_units, options,
+                planned, prepared.estimate, prepared.fitted, units, options,
             )
             vectorized = assemble_distribution_parameters(
-                planned, prepared.estimate, prepared.fitted,
-                calibrated_units, options,
+                planned, prepared.estimate, prepared.fitted, units, options,
             )
             assert vectorized.mean == pytest.approx(reference.mean, rel=1e-9)
             assert vectorized.variance == pytest.approx(

@@ -16,13 +16,16 @@ Tolerance policy, per metric kind (see ``repro.benchreport.result``):
 * ``fidelity`` — two-sided, tight: deterministic paper-shape numbers
   may drift only within ``max(abs_tol, rel_tol * |baseline|)``.
 * ``ratio`` — one-sided, loose: a speedup may fall at most
-  ``ratio_slack`` below the baseline (improvements always pass), and
-  must clear its hard ``floor`` when it declares one.
+  ``ratio_slack`` below the baseline (improvements always pass).
 * ``timing`` — one-sided, loosest: a wall time may grow at most
   ``timing_slack`` above the baseline, and is only compared at all
   when the fresh and baseline environment fingerprints are comparable
   (same machine class / CPU count / python); cross-machine timing
   diffs are noise, not regressions.
+
+A hard ``floor`` binds on every kind, with or without a baseline: the
+paper's claims are floors on fidelity metrics, the serving claims
+floors on ratios and flags.
 
 ``--update`` refreshes the baselines from the fresh results instead of
 comparing (use after an intentional perf or fidelity change, and commit
